@@ -20,20 +20,12 @@ Both modes record wall-clock numbers, so the artifact goes to the
 *untracked* ``results/local/`` directory (``simulator_scale.txt`` in
 full mode, ``simulator_scale_smoke.txt`` in smoke mode) — committed
 ``results/`` files carry deterministic model quantities only.
-
-``test_bench_array_backend`` gates the array engine backend the same
-way: smoke mode compares the measured array-vs-object speedup against
-the last committed ``BENCH_engine.json`` entry for the scenario and
-fails on a >20 % regression; full mode runs the 100k-kernel acceptance
-scenario and asserts the ≥ 5× bar.
 """
 
 from __future__ import annotations
 
 import os
-import sys
 import time
-from pathlib import Path
 
 from benchmarks.conftest import write_artifact
 from repro.core.reference import ReferenceSimulator
@@ -41,10 +33,6 @@ from repro.core.simulator import Simulator
 from repro.data.paper_tables import paper_lookup_table
 from repro.experiments.workloads import scale_system, streaming_scale_workload
 from repro.policies.registry import get_policy
-
-sys.path.insert(0, str(Path(__file__).parent.parent / "tools"))
-import bench_record  # noqa: E402  (repo tools/, added to path above)
-
 
 FULL = os.environ.get("REPRO_SCALE_FULL", "") == "1"
 N_KERNELS = 10_000 if FULL else 1_200
@@ -108,66 +96,3 @@ def test_bench_simulator_scale(local_results_dir):
             f"{policy_name}: speedup {speedups[policy_name]:.2f}x below the "
             f"{gate}x gate (see results/local/{ARTIFACT})"
         )
-
-
-#: full mode runs the 100k acceptance scenario; smoke the CI-sized grid.
-BACKEND_N_KERNELS = 100_000 if FULL else 1_200
-#: the array backend must beat the object backend ≥ 5× at 100k kernels
-#: (the tentpole acceptance bar); at smoke scale the gate instead comes
-#: from the committed trajectory: the measured speedup may not regress
-#: more than 20 % below the last BENCH_engine.json entry for the same
-#: scenario.  Speedup (not wall-ms) is compared so the gate is portable
-#: across machines — both backends run on the same box.
-BACKEND_FULL_GATE = 5.0
-BACKEND_REGRESSION_FRACTION = 0.80
-
-
-def test_bench_array_backend(local_results_dir):
-    from repro.core._kernels import resolve_jit
-
-    scenario = bench_record.scenario_name(BACKEND_N_KERNELS)
-    # gate against the newest entry measured with the same jit state;
-    # a jit leg with no jit entry yet falls back to the fallback-path
-    # trajectory (jit is never slower, so the floor stays conservative).
-    jit_active = resolve_jit(None)
-    committed = bench_record.last_entry_for(
-        scenario, jit=jit_active
-    ) or bench_record.last_entry_for(scenario)
-    t_array = bench_record.run_backend("array", BACKEND_N_KERNELS, REPEATS)
-    t_object = bench_record.run_backend("object", BACKEND_N_KERNELS, REPEATS)
-    speedup = t_object / t_array
-
-    lines = [
-        "Engine-backend benchmark — array vs object hot path",
-        f"scenario: {scenario}   jit: {'on' if jit_active else 'off'}",
-        f"array  : {t_array:>12.1f} ms",
-        f"object : {t_object:>12.1f} ms",
-        f"speedup: {speedup:>12.2f}x",
-    ]
-    if committed is not None:
-        lines.append(
-            f"committed trajectory ({committed['git_rev']}): "
-            f"{committed['speedup_vs_object']:.2f}x"
-        )
-    write_artifact(
-        local_results_dir,
-        "engine_backend_full.txt" if FULL else "engine_backend_smoke.txt",
-        "\n".join(lines),
-    )
-
-    if FULL:
-        assert speedup >= BACKEND_FULL_GATE, (
-            f"array backend speedup {speedup:.2f}x below the "
-            f"{BACKEND_FULL_GATE}x acceptance gate at {BACKEND_N_KERNELS} kernels"
-        )
-    assert committed is not None, (
-        f"no committed BENCH_engine.json entry for {scenario}; run "
-        f"`python tools/bench_record.py --kernels {BACKEND_N_KERNELS}` and "
-        "commit the result"
-    )
-    floor = committed["speedup_vs_object"] * BACKEND_REGRESSION_FRACTION
-    assert speedup >= floor, (
-        f"array backend speedup regressed: measured {speedup:.2f}x vs "
-        f"committed {committed['speedup_vs_object']:.2f}x "
-        f"(entry {committed['git_rev']}; >20% below trajectory)"
-    )

@@ -1,8 +1,8 @@
-"""Project-specific static analysis: determinism & backend-parity lints.
+"""Project-specific static analysis: determinism & structural lints.
 
-The reproduction's core guarantee — bit-for-bit identical schedules
-across the object engine, the array backend and ``ReferenceSimulator`` —
-rests on conventions (seeded RNG plumbing, ordered iteration, exhaustive
+The reproduction's core guarantee — bit-for-bit reproducible schedules,
+identical to ``ReferenceSimulator`` where it applies — rests on
+conventions (seeded RNG plumbing, ordered iteration, exhaustive
 ``EventKind`` handling, the ``RuntimeDynamics`` hook protocol, the
 ``SWEEP_FORMAT_VERSION`` bump discipline) that ordinary linters cannot
 see.  This package machine-checks them *at rest*, before any test runs:

@@ -1,4 +1,4 @@
-"""The project rule catalog: determinism & backend-parity invariants.
+"""The project rule catalog: determinism & structural invariants.
 
 Each rule protects one engine seam the bit-for-bit guarantee rides on;
 ``docs/checks.md`` carries the full rationale per rule and
@@ -520,137 +520,7 @@ class HookConformanceRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# 6. backend-parity
-# ----------------------------------------------------------------------
-class BackendParityRule(Rule):
-    """Batchable policies must keep the object and array paths twinned.
-
-    The array backend routes a policy through ``select_batch`` only when
-    its ``batchable`` flag is set *and* the class providing
-    ``select_batch`` sits at or below the class providing ``select``
-    (``repro.core.array_state.driver_is_batchable``).  Violations here
-    are silent: the backend just falls back, and the batch path rots
-    untested — or worse, a half-registered policy batches stale logic.
-    """
-
-    id = "backend-parity"
-    title = "select_batch / select / batchable stay consistent"
-
-    def check_project(self, project: Project) -> Iterable[Finding]:
-        closure = _subclass_closure(
-            project, {"Policy", "DynamicPolicy", "StaticPolicy"}
-        )
-        info: dict[str, dict[str, object]] = {}
-        sites: dict[str, tuple[Module, ast.ClassDef]] = {}
-        for name, occurrences in closure.items():
-            module, cls = occurrences[0]
-            sites[name] = (module, cls)
-            methods = {m.name for m in _class_methods(cls)}
-            batchable: bool | None = None
-            for stmt in cls.body:
-                if isinstance(stmt, ast.Assign) and any(
-                    isinstance(t, ast.Name) and t.id == "batchable"
-                    for t in stmt.targets
-                ):
-                    if isinstance(stmt.value, ast.Constant):
-                        batchable = bool(stmt.value.value)
-            init_sets_batchable = any(
-                isinstance(node, ast.Assign)
-                and any(
-                    isinstance(t, ast.Attribute)
-                    and t.attr == "batchable"
-                    and isinstance(t.value, ast.Name)
-                    and t.value.id == "self"
-                    for t in node.targets
-                )
-                for method in _class_methods(cls)
-                for node in ast.walk(method)
-            )
-            info[name] = {
-                "bases": _base_names(cls),
-                "methods": methods,
-                "batchable": batchable,
-                "init_sets": init_sets_batchable,
-            }
-
-        def inherited(name: str, key: str) -> object:
-            """First explicit value of ``key`` walking up the tree-MRO."""
-            seen: set[str] = set()
-            stack = [name]
-            while stack:
-                current = stack.pop(0)
-                if current in seen or current not in info:
-                    continue
-                seen.add(current)
-                value = info[current][key]
-                if value is not None:
-                    return value
-                stack.extend(info[current]["bases"])  # type: ignore[arg-type]
-            return None
-
-        def defines_anywhere(name: str, method: str) -> bool:
-            seen: set[str] = set()
-            stack = [name]
-            while stack:
-                current = stack.pop(0)
-                if current in seen or current not in info:
-                    continue
-                seen.add(current)
-                if method in info[current]["methods"]:  # type: ignore[operator]
-                    return True
-                stack.extend(info[current]["bases"])  # type: ignore[arg-type]
-            return False
-
-        for name in sorted(info):
-            module, cls = sites[name]
-            methods = info[name]["methods"]
-            has_sb = "select_batch" in methods  # type: ignore[operator]
-            has_sel = "select" in methods  # type: ignore[operator]
-            class_batchable = info[name]["batchable"]
-            if has_sb and not defines_anywhere(name, "select"):
-                yield module.finding(
-                    self,
-                    cls,
-                    f"{name} defines select_batch but no select — the object "
-                    f"backend (and the parity tests) cannot drive it",
-                )
-            if class_batchable is True and not has_sb:
-                yield module.finding(
-                    self,
-                    cls,
-                    f"{name} sets batchable=True without defining select_batch "
-                    f"in the same class — driver_is_batchable() will silently "
-                    f"fall back (or batch an ancestor's stale logic)",
-                )
-            if (
-                has_sel
-                and not has_sb
-                and class_batchable is None
-                and inherited(name, "batchable") is True
-            ):
-                yield module.finding(
-                    self,
-                    cls,
-                    f"{name} overrides select of a batchable policy without "
-                    f"overriding select_batch — set batchable=False explicitly "
-                    f"or provide the batch twin",
-                )
-            if (
-                has_sb
-                and class_batchable is not True
-                and inherited(name, "batchable") is not True
-                and not info[name]["init_sets"]
-            ):
-                yield module.finding(
-                    self,
-                    cls,
-                    f"{name} defines select_batch but batchable is never set — "
-                    f"the array backend will never use it",
-                )
-
-
-# ----------------------------------------------------------------------
-# 7. cache-version-guard
+# 6. cache-version-guard
 # ----------------------------------------------------------------------
 FINGERPRINT_RELPATH = Path("checks") / "sweep_fingerprint.json"
 
@@ -802,102 +672,6 @@ def _describe_drift(old: dict[str, object], new: dict[str, object]) -> str:
 
 
 # ----------------------------------------------------------------------
-# 8. jit-kernel-pairs
-# ----------------------------------------------------------------------
-class JitKernelPairRule(Rule):
-    """Compiled kernels ship as registered twin pairs.
-
-    The array backend's jit layer (``core/_kernels.py``) keeps two
-    implementations of every hot kernel: the always-available numpy
-    fallback ``<name>_py`` and the numba-compilable source
-    ``_<name>_src``.  The ``KERNELS`` registry is the contract the
-    differential tests enforce pairwise equivalence over — a jit source
-    outside the registry (or a registry entry naming a missing twin)
-    is a kernel whose two implementations can silently diverge.
-    """
-
-    id = "jit-kernel-pairs"
-    title = "_kernels twins are registered pairwise (fallback + jit source)"
-
-    _MODULE = "core/_kernels.py"
-
-    def check_project(self, project: Project) -> Iterable[Finding]:
-        module = project.find_module(self._MODULE)
-        if module is None:
-            return
-        functions = {
-            node.name
-            for node in module.tree.body
-            if isinstance(node, ast.FunctionDef)
-        }
-        registry: "ast.Assign | ast.AnnAssign | None" = None
-        for node in module.tree.body:
-            if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "KERNELS"
-                for t in node.targets
-            ):
-                registry = node
-            elif (
-                isinstance(node, ast.AnnAssign)
-                and isinstance(node.target, ast.Name)
-                and node.target.id == "KERNELS"
-                and node.value is not None
-            ):
-                registry = node
-        if registry is None or not isinstance(registry.value, ast.Dict):
-            yield module.finding(
-                self,
-                registry or 1,
-                "core/_kernels.py must define KERNELS as a literal dict "
-                "mapping each kernel name to its (<name>_py, _<name>_src) "
-                "twins — the pairwise parity contract",
-            )
-            return
-        registered: set[str] = set()
-        for key, value in zip(registry.value.keys, registry.value.values):
-            if not (isinstance(key, ast.Constant) and isinstance(key.value, str)):
-                yield module.finding(
-                    self, key or registry, "KERNELS keys must be string literals"
-                )
-                continue
-            name = key.value
-            expected = (f"{name}_py", f"_{name}_src")
-            refs: tuple[str, ...] = ()
-            if isinstance(value, ast.Tuple):
-                refs = tuple(dotted_name(elt) or "?" for elt in value.elts)
-            if refs != expected:
-                yield module.finding(
-                    self,
-                    key,
-                    f"KERNELS[{name!r}] must register the twins "
-                    f"({expected[0]}, {expected[1]}); found {refs or value!r}",
-                )
-                continue
-            missing = [fn for fn in expected if fn not in functions]
-            if missing:
-                yield module.finding(
-                    self,
-                    key,
-                    f"KERNELS[{name!r}] references undefined twin(s) "
-                    f"{missing} — both implementations must exist",
-                )
-            registered.update(expected)
-        for node in module.tree.body:
-            if (
-                isinstance(node, ast.FunctionDef)
-                and node.name.startswith("_")
-                and node.name.endswith("_src")
-                and node.name not in registered
-            ):
-                yield module.finding(
-                    self,
-                    node,
-                    f"jit source {node.name}() is not in the KERNELS registry "
-                    f"— an unregistered twin escapes the pairwise parity tests",
-                )
-
-
-# ----------------------------------------------------------------------
 # registry
 # ----------------------------------------------------------------------
 ALL_RULES: tuple[Rule, ...] = (
@@ -906,9 +680,7 @@ ALL_RULES: tuple[Rule, ...] = (
     OrderedIterationRule(),
     EventKindExhaustiveRule(),
     HookConformanceRule(),
-    BackendParityRule(),
     CacheVersionGuardRule(),
-    JitKernelPairRule(),
 )
 
 

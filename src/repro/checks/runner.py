@@ -196,7 +196,7 @@ def run(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="run_checks",
-        description="determinism & backend-parity static checks "
+        description="determinism & structural static checks "
         "(see docs/checks.md)",
     )
     add_arguments(parser)

@@ -27,7 +27,7 @@ Subcommands
   fetch paginated result rows;
 * ``calibrate`` — measure the real kernels on this machine and write a
   fresh lookup table JSON;
-* ``check``     — the determinism & backend-parity static checks
+* ``check``     — the determinism & structural static checks
   (rule catalog in ``docs/checks.md``; same engine as
   ``tools/run_checks.py``).
 
@@ -38,26 +38,17 @@ Every sweep-shaped subcommand (``compare``, ``sweep``, ``table``,
   (``0`` = all cores); results are bit-identical to a serial run;
 * ``--cache-dir D`` — persist per-job results in ``D`` keyed by content
   hash, so re-runs only simulate what changed;
-* ``--no-cache``    — disable result caching entirely;
-* ``--backend B``   — engine hot path (``object`` or ``array``; also on
-  ``simulate``).  The array backend is the fast struct-of-arrays
-  implementation — results are bit-identical to the object engine;
-* ``--jit MODE``    — compiled array-backend kernels (``auto``/``on``/
-  ``off``; also on ``simulate``).  Falls back to the pure-numpy twins
-  when numba is absent, bit-identical either way.
+* ``--no-cache``    — disable result caching entirely.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
 
 from repro.analysis.gantt import ascii_gantt
-from repro.core._kernels import JIT_ENV_VAR, jit_status
-from repro.core.engine import BACKEND_ENV_VAR, ENGINE_BACKENDS
 from repro.core.simulator import Simulator
 from repro.core.system import CPU_GPU_FPGA
 from repro.data.paper_tables import paper_lookup_table
@@ -116,24 +107,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable result caching (every job simulates)",
     )
-    engine.add_argument(
-        "--backend",
-        default=None,
-        choices=ENGINE_BACKENDS,
-        help=(
-            "engine hot-path implementation (default: $REPRO_BACKEND or "
-            "'object'); results are bit-identical either way"
-        ),
-    )
-    engine.add_argument(
-        "--jit",
-        default=None,
-        choices=("auto", "on", "off"),
-        help=(
-            "compiled array-backend kernels (default: $REPRO_JIT or 'auto'; "
-            "falls back to pure numpy when numba is unavailable)"
-        ),
-    )
 
     sim = sub.add_parser("simulate", help="run one policy on one generated DFG")
     sim.add_argument("--policy", default="apt", choices=available_policies())
@@ -143,29 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--rate", type=float, default=4.0, help="link rate in GB/s")
     sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sim.add_argument("--gantt", action="store_true", help="print an ASCII Gantt chart")
-    sim.add_argument(
-        "--backend",
-        default=None,
-        choices=ENGINE_BACKENDS,
-        help=(
-            "engine hot-path implementation (default: $REPRO_BACKEND or "
-            "'object'); results are bit-identical either way"
-        ),
-    )
-    sim.add_argument(
-        "--jit",
-        default=None,
-        choices=("auto", "on", "off"),
-        help=(
-            "compiled array-backend kernels (default: $REPRO_JIT or 'auto'; "
-            "falls back to pure numpy when numba is unavailable)"
-        ),
-    )
-    sim.add_argument(
-        "--profile",
-        action="store_true",
-        help="print engine phase counters (epochs, batch selects, phase ms)",
-    )
 
     cmp_ = sub.add_parser(
         "compare", help="all paper policies over a suite", parents=[engine]
@@ -321,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     chk = sub.add_parser(
         "check",
-        help="determinism & backend-parity static checks (docs/checks.md)",
+        help="determinism & structural static checks (docs/checks.md)",
     )
     checks_runner.add_arguments(chk)
     return parser
@@ -337,14 +287,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         else get_policy(args.policy)
     )
     system = CPU_GPU_FPGA(transfer_rate_gbps=args.rate)
-    sim = Simulator(
-        system,
-        paper_lookup_table(),
-        backend=args.backend,
-        jit=args.jit,
-        profile=args.profile,
-    )
-    result = sim.run(dfg, policy)
+    result = Simulator(system, paper_lookup_table()).run(dfg, policy)
     m = result.metrics
     print(f"workload : {dfg.name} ({len(dfg)} kernels, {dfg.n_edges} edges)")
     print(f"policy   : {result.policy_name}")
@@ -363,17 +306,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
     if m.n_alternative_assignments:
         print(f"alternative assignments: {m.n_alternative_assignments}")
-    if args.profile:
-        status = jit_status(args.jit)
-        print(
-            f"jit      : requested={status['requested']} "
-            f"numba={status['numba_available']} active={status['active']}"
-        )
-        if sim.last_profile:
-            for key in sorted(sim.last_profile):
-                print(f"  {key} = {sim.last_profile[key]}")
-        else:
-            print("  (no engine counters: object backend has no profiler)")
     if args.gantt:
         print()
         print(ascii_gantt(result.schedule, system))
@@ -710,12 +642,6 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    # Sweep-shaped subcommands resolve the backend from the environment
-    # (worker processes inherit it); the flag just sets it for this run.
-    if getattr(args, "backend", None) and args.command != "simulate":
-        os.environ[BACKEND_ENV_VAR] = args.backend
-    if getattr(args, "jit", None) and args.command != "simulate":
-        os.environ[JIT_ENV_VAR] = args.jit
     return _COMMANDS[args.command](args)
 
 

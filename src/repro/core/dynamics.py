@@ -104,7 +104,7 @@ class BatchAdmission(RuntimeDynamics):
         e = self.engine
         kid = ev.payload[0]
         e.not_arrived.discard(kid)
-        if e.pred_count(kid) == 0:
+        if e.remaining_preds[kid] == 0:
             e.ready_time[kid] = e.now
             e.ready.add(kid)
             e.state_version += 1
@@ -445,7 +445,6 @@ class RetirementDynamics(RuntimeDynamics):
         e.is_alternative.pop(kid, None)
         e.noise.pop(kid, None)
         e.completed.discard(kid)
-        e.release_kernel(kid)
         self.n_retired += 1
 
 

@@ -425,7 +425,9 @@ class EngineCore:
         now = self.now
         cost = self.cost
         ptype = self.system[name].ptype
-        transfer = self._inbound_transfer_ms(kid, name)
+        transfer = cost.inbound_transfer(
+            self.graph, kid, name, self.assignment_of, self.preds_of[kid]  # type: ignore[arg-type]
+        )
         exec_time = cost.exec_time(
             spec.kernel, spec.data_size, ptype
         ) * self.noise.get(kid, 1.0)
@@ -469,27 +471,10 @@ class EngineCore:
             self.record_entry(entry)
         for h in self._start_hooks:
             h(kid, name)
-        self._push_completion(finish, kid, name, token)
-        return True
-
-    def _push_completion(self, finish: float, kid: int, name: str, token: int) -> None:
-        # Seam for the array backend, which pushes bare records instead.
         self.events.push(
             Event(finish, EventKind.KERNEL_COMPLETE, payload=(kid, name, token))
         )
-
-    def _inbound_transfer_ms(self, kid: int, name: str) -> float:
-        # Seam: the array backend serves this from its frozen transfer rows.
-        return self.cost.inbound_transfer(
-            self.graph, kid, name, self.assignment_of, self.preds_of[kid]  # type: ignore[arg-type]
-        )
-
-    def pred_count(self, kid: int) -> int:
-        """Outstanding predecessors (array backend reads its CSR mirror)."""
-        return self.remaining_preds[kid]
-
-    def release_kernel(self, kid: int) -> None:
-        """Retirement notification — the array backend recycles the row."""
+        return True
 
     def record_entry(self, entry: ScheduleEntry) -> None:
         for h in self._entry_hooks:
@@ -631,13 +616,8 @@ class EngineCore:
             f"{self.policy.name}: assignment loop did not converge at t={self.now}"
         )
 
-    def _handle_complete(self, ev: Event) -> None:
+    def _complete(self, ev: Event) -> None:
         kid, name, token = ev.payload
-        self._complete(kid, name, token)
-
-    def _complete(self, kid: int, name: str, token: int) -> None:
-        # Record-based completion seam: the array backend calls this
-        # directly from popped heap records, without materializing Events.
         if self._live_token[name] != token:
             return  # stale: that start was aborted by a fault/preemption
         st = self.procs[name]
@@ -702,7 +682,7 @@ class EngineCore:
             for ev in batch:
                 self.now = ev.time
                 if ev.kind is complete:
-                    self._handle_complete(ev)
+                    self._complete(ev)
                 else:
                     handlers[ev.kind](ev)
             if observe_hooks and self.ready:
@@ -711,47 +691,6 @@ class EngineCore:
                     h(ctx)
         for layer in self._layers:
             layer.finalize()
-
-
-#: selectable engine backends: "object" is :class:`EngineCore` as-is,
-#: "array" is the numpy struct-of-arrays hot path
-#: (:class:`~repro.core.array_state.ArrayEngineCore`).  Both produce
-#: bit-for-bit identical schedules, metrics and policy statistics.
-ENGINE_BACKENDS = ("object", "array")
-
-#: environment override consulted when no explicit backend is given —
-#: lets the CLI and CI select the array hot path without threading a
-#: parameter through every experiment entry point.
-BACKEND_ENV_VAR = "REPRO_BACKEND"
-
-
-def resolve_backend(backend: "str | None") -> str:
-    """Normalize a backend selector (``None`` → env var → ``"object"``)."""
-    import os
-
-    if backend is None:
-        backend = os.environ.get(BACKEND_ENV_VAR) or "object"
-    if backend not in ENGINE_BACKENDS:
-        raise ValueError(
-            f"unknown engine backend {backend!r} (choose from {ENGINE_BACKENDS})"
-        )
-    return backend
-
-
-def make_engine(
-    backend: "str | None", *args: Any, jit: "str | bool | None" = None, **kwargs: Any
-) -> EngineCore:
-    """Construct an engine core for the resolved ``backend``.
-
-    ``jit`` selects the compiled-kernel layer (array backend only; see
-    :mod:`repro.core._kernels`) — the object core has no jittable inner
-    loops, so the flag is dropped there.
-    """
-    if resolve_backend(backend) == "array":
-        from repro.core.array_state import ArrayEngineCore
-
-        return ArrayEngineCore(*args, jit=jit, **kwargs)
-    return EngineCore(*args, **kwargs)
 
 
 #: hook name → engine dispatch-list attribute.

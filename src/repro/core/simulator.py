@@ -124,7 +124,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from repro.core.cost import VALID_TRANSFER_MODES, CostModel
+from repro.core.cost import CostModel
 from repro.core.dynamics import (
     BatchAdmission,
     ContentionDynamics,
@@ -140,18 +140,7 @@ from repro.core.energy import (
     PowerModel,
     energy_from_metrics,
 )
-from repro.core.engine import (
-    ENGINE_BACKENDS,
-    EngineCore,
-    RuntimeDynamics,
-    SchedulingError,
-    make_engine,
-    resolve_backend,
-)
-
-# Backward-compatible re-exports: these engine internals lived here
-# before the engine/dynamics split (ReferenceSimulator imports them).
-from repro.core.engine import _ProcState, _ReadyQueue, _ResidentGraph  # noqa: F401
+from repro.core.engine import EngineCore, RuntimeDynamics, SchedulingError
 from repro.core.lookup import LookupTable
 from repro.core.metrics import (
     ServiceMetrics,
@@ -167,12 +156,7 @@ from repro.graphs.dfg import DFG
 from repro.policies.base import DynamicPolicy, Policy, StaticPolicy
 from repro.policies.plan import PlanDispatcher
 
-_VALID_TRANSFER_MODES = VALID_TRANSFER_MODES  # re-export (back-compat)
-#: Historical private name; the dispatcher now lives in repro.policies.plan.
-_PlanDispatcher = PlanDispatcher
-
 __all__ = [
-    "ENGINE_BACKENDS",
     "SchedulingError",
     "SimulationResult",
     "Simulator",
@@ -293,25 +277,6 @@ class Simulator:
         Power model for the energy report of ``run_stream`` results
         (default: the paper-device :data:`~repro.core.energy.
         DEFAULT_POWER_MODEL`).
-    backend:
-        Engine backend: ``"object"`` (the :class:`~repro.core.engine.
-        EngineCore` hot path) or ``"array"`` (the numpy struct-of-arrays
-        hot path, :class:`~repro.core.array_state.ArrayEngineCore`).
-        ``None`` (default) consults the ``REPRO_BACKEND`` environment
-        variable, falling back to ``"object"``.  Both backends produce
-        bit-for-bit identical results; ``"array"`` is faster on large
-        streams.
-    jit:
-        Compiled-kernel selector for the array backend (see
-        :mod:`repro.core._kernels`): ``"on"``/``"off"``/``"auto"`` or a
-        bool; ``None`` (default) consults the ``REPRO_JIT`` environment
-        variable.  Requesting jit without numba installed silently uses
-        the bit-identical pure-numpy fallback.  Ignored by the object
-        backend.
-    profile:
-        Attach a :class:`~repro.profiling.PhaseProfiler` to array-backend
-        runs; per-phase wall-clock and hot-path counters land in
-        :attr:`last_profile` after each run.
     """
 
     def __init__(
@@ -326,9 +291,6 @@ class Simulator:
         noise_seed: int = 0,
         dynamics: "Sequence[RuntimeDynamics | DynamicsSpec] | None" = None,
         power_model: PowerModel | None = None,
-        backend: str | None = None,
-        jit: "str | bool | None" = None,
-        profile: bool = False,
     ) -> None:
         if exec_noise_sigma < 0:
             raise ValueError("exec_noise_sigma must be >= 0")
@@ -362,15 +324,6 @@ class Simulator:
         self.noise_seed = int(noise_seed)
         self.dynamics = tuple(dynamics or ())
         self.power_model = power_model if power_model is not None else DEFAULT_POWER_MODEL
-        self.backend = resolve_backend(backend)
-        # jit selects the compiled-kernel layer (array backend only;
-        # graceful numpy fallback when numba is absent) — resolved at
-        # engine construction so the env var is read per run
-        self.jit = jit
-        self.profile = bool(profile)
-        #: phase-profiler counters of the most recent run (array backend;
-        #: ``None`` before any run or on the object backend)
-        self.last_profile: dict[str, object] | None = None
 
     # ------------------------------------------------------------------
     # engine assembly
@@ -389,20 +342,14 @@ class Simulator:
     ) -> EngineCore:
         """Assemble the layer chain: admission → contention → extra
         dynamics → retirement → metrics."""
-        engine = make_engine(
-            self.backend,
+        engine = EngineCore(
             self.system,
             self.cost,
             policy,
             driver,
             noise_sigma=self.exec_noise_sigma,
             noise_seed=self.noise_seed,
-            jit=self.jit,
         )
-        if self.profile and hasattr(engine, "profiler"):
-            from repro.profiling import PhaseProfiler
-
-            engine.profiler = PhaseProfiler()
         engine.add_layer(admission)
         if self._contended():
             engine.add_layer(ContentionDynamics(self.system.topology))
@@ -491,8 +438,6 @@ class Simulator:
         )
         engine.noise.update(self._noise_factors(dfg))
         engine.run_loop()
-        counters = getattr(engine, "profile_counters", None)
-        self.last_profile = counters() if counters is not None else None
 
         schedule = metrics_layer.schedule
         schedule.validate(dfg)
@@ -607,8 +552,6 @@ class Simulator:
             policy, driver, admission, metrics_layer, retirement=retirement
         )
         engine.run_loop()
-        counters = getattr(engine, "profile_counters", None)
-        self.last_profile = counters() if counters is not None else None
 
         schedule = metrics_layer.schedule
         metrics = metrics_layer.metrics()

@@ -39,9 +39,6 @@ class APTLongestFirst(APT):
     """
 
     name = "apt_longest_first"
-    # Reorders the ready set before delegating — APT's whole-ready-set
-    # batch path assumes FCFS order, so fall back to per-kernel select.
-    batchable = False
 
     def select(self, ctx: SchedulingContext) -> list[Assignment]:
         reordered = sorted(

@@ -56,7 +56,6 @@ from repro.core.energy import DEFAULT_POWER_MODEL, PowerModel, energy_of
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.metrics import AppSpan
-from repro.core.engine import resolve_backend
 from repro.core.lookup import LookupTable
 from repro.core.simulator import Simulator
 from repro.core.system import Processor, ProcessorType, SystemConfig
@@ -92,7 +91,9 @@ from repro.policies.registry import get_policy
 #: different hot-path implementations never share a cache entry even
 #: though they are contractually bit-identical: a backend bug must not
 #: poison the other backend's cache.
-SWEEP_FORMAT_VERSION = 6
+#: v7: one engine — the settings section dropped ``backend`` again,
+#: together with the array backend it could name.
+SWEEP_FORMAT_VERSION = 7
 
 
 # ----------------------------------------------------------------------
@@ -113,8 +114,6 @@ class SimSettings:
     transfers_enabled: bool = True
     exec_noise_sigma: float = 0.0
     noise_seed: int = 0
-    #: Engine backend (``None`` → resolve from ``REPRO_BACKEND``/default).
-    backend: str | None = None
 
     def cost_model_dict(self) -> dict[str, object]:
         """The cost-model signature (matches ``CostModel.signature()``)."""
@@ -125,23 +124,14 @@ class SimSettings:
         }
 
     def noise_dict(self) -> dict[str, object]:
-        """The execution-noise knobs (everything outside the cost model).
-
-        ``backend`` enters the payload *resolved* (never ``None``) so the
-        cache key always names the engine implementation that produced
-        the run, independent of the submitting process's environment.
-        """
+        """The execution-noise knobs (everything outside the cost model)."""
         return {
             "exec_noise_sigma": self.exec_noise_sigma,
             "noise_seed": self.noise_seed,
-            "backend": resolve_backend(self.backend),
         }
 
     def to_dict(self) -> dict[str, object]:
-        # Serialization keeps the *raw* backend (possibly ``None``) so
-        # to_dict/from_dict round-trips exactly; only the job payload
-        # (:meth:`noise_dict`) pins the resolved value.
-        return {**self.cost_model_dict(), **self.noise_dict(), "backend": self.backend}
+        return {**self.cost_model_dict(), **self.noise_dict()}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "SimSettings":
@@ -151,7 +141,6 @@ class SimSettings:
             transfers_enabled=bool(data["transfers_enabled"]),
             exec_noise_sigma=float(data["exec_noise_sigma"]),  # type: ignore[arg-type]
             noise_seed=int(data["noise_seed"]),  # type: ignore[arg-type]
-            backend=str(data["backend"]) if data.get("backend") else None,
         )
 
 
@@ -565,7 +554,6 @@ def execute_payload(payload: Mapping[str, object]) -> dict[str, object]:
         exec_noise_sigma=settings.exec_noise_sigma,
         noise_seed=settings.noise_seed,
         dynamics=dynamics,
-        backend=settings.backend,
     )
     result = sim.run(dfg, policy_spec.build(), arrivals=arrivals or None)
     energy = energy_of(result.schedule, system, power_model)

@@ -170,10 +170,9 @@ class _ScaleStreamSource(ArrivalSource):
     size pre-draw, then per application the DFG draws followed by the
     exponential gap — so ``materialize()`` is bit-for-bit the stream
     :func:`streaming_scale_stream` returns with the same parameters
-    (pinned by ``tests/test_simulator_stream.py``).  Built for the
-    million-kernel benchmark scenario: with streaming admission and the
-    array backend's row recycling, peak memory stays bounded by the
-    *live* window, not the stream length.
+    (pinned by ``tests/test_simulator_stream.py``).  With streaming
+    admission and retirement, peak memory stays bounded by the *live*
+    window, not the stream length.
     """
 
     def __init__(
@@ -242,36 +241,6 @@ def streaming_scale_source(
 ) -> _ScaleStreamSource:
     """The lazy :class:`ArrivalSource` twin of :func:`streaming_scale_stream`."""
     return _ScaleStreamSource(n_kernels, seed, mean_interarrival_ms, population)
-
-
-#: Named large-stream scenarios for the benchmark harness
-#: (``tools/bench_record.py --scenario``).  They stay out of the sweep
-#: scenario registry on purpose: that registry materializes workloads
-#: eagerly, while these are meant to be streamed lazily through
-#: ``Simulator.run_stream`` with ``retain_schedule=False``.
-STREAM_SCENARIOS: dict[str, dict[str, float | int]] = {
-    "streaming_scale_100k": {
-        "n_kernels": 100_000, "seed": 42, "mean_interarrival_ms": 300.0,
-    },
-    # the 1M point runs at a *sustainable* rate: it demonstrates
-    # bounded kernel-table memory via row recycling over a stable
-    # resident window, not ready-set growth under saturation (that
-    # regime is the 100k scenario's job).
-    "streaming_scale_1m": {
-        "n_kernels": 1_000_000, "seed": 42, "mean_interarrival_ms": 3000.0,
-    },
-}
-
-
-def stream_scenario_source(name: str) -> _ScaleStreamSource:
-    """Build the lazy arrival source of a named stream scenario."""
-    params = STREAM_SCENARIOS.get(name)
-    if params is None:
-        raise ValueError(
-            f"unknown stream scenario {name!r}; available: "
-            f"{sorted(STREAM_SCENARIOS)}"
-        )
-    return streaming_scale_source(**params)  # type: ignore[arg-type]
 
 
 def streaming_scale_workload(

@@ -22,8 +22,6 @@ slower processor), large α floods slow processors.  The paper finds a
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.policies.base import Assignment, DynamicPolicy, SchedulingContext
 
 
@@ -44,7 +42,6 @@ class APT(DynamicPolicy):
 
     name = "apt"
     time_sensitive = False
-    batchable = True
 
     def __init__(self, alpha: float = 4.0, include_transfer: bool = True) -> None:
         if alpha < 1.0:
@@ -116,73 +113,6 @@ class APT(DynamicPolicy):
                     Assignment(kernel_id=kid, processor=best_alt, alternative=True)
                 )
             # else: wait for p_min, like MET.
-        return out
-
-    def select_batch(self, batch) -> list[Assignment]:
-        ready = batch.ready
-        idle_names = batch.idle_names
-        if not ready or not idle_names:
-            return []
-        # The exact per-candidate cost select() computes: execution plus
-        # (when enabled) the frozen inbound transfer.  Ready kernels have
-        # only completed predecessors, so batch.transfer_idle() returns
-        # the very values ctx.transfer_time would — and a predecessor-less
-        # kernel's transfer row is 0.0, making the unconditional addition
-        # bit-identical to select()'s needs_transfer branch.
-        best_cat = batch.best_cat()
-        threshold = self.alpha * batch.best_x()
-        # Phase A — vectorized candidate filter: p_min's category has an
-        # idle instance, or some idle processor is within threshold.  A
-        # kernel failing both against the *full* idle set can never be
-        # assigned (the available set only shrinks during the scan), so
-        # skipping it changes nothing downstream.  The filter runs in
-        # two passes so the per-processor cost matrix is only gathered
-        # for survivors: transfers are non-negative, so an exec-only
-        # test over-approximates the exact candidate set.
-        cat_mask = batch.idle_cat_mask()
-        has_pmin = cat_mask[best_cat]
-        pre_idx = np.flatnonzero(has_pmin | (batch.exec_min_idle() <= threshold))
-        if not pre_idx.size:
-            return []
-        C = batch.exec_idle(pre_idx)
-        if self.include_transfer:
-            C = C + batch.transfer_idle(pre_idx)
-        qual = C <= threshold[pre_idx, None]
-        cand_rel = np.flatnonzero(has_pmin[pre_idx] | qual.any(axis=1))
-        if not cand_rel.size:
-            return []
-        cand_idx = pre_idx[cand_rel]
-        # Phase B — exact FCFS pass over the candidates.  Between two
-        # assignments the available set is constant, so each candidate's
-        # outcome is a pure function of it: the scan finds the next
-        # candidate that assigns, skipping the (possibly many) whose
-        # qualifying processors were already consumed — they would fail
-        # select()'s per-kernel checks under this very avail set too.
-        # The scan itself is a _kernels twin (numpy fallback or numba),
-        # selected engine-wide via REPRO_JIT / Simulator(jit=...).
-        Cm = np.where(qual, C, np.inf)[cand_rel]  # threshold-masked costs
-        bc = best_cat[cand_idx]
-        sel_i, sel_j, alts = batch.kernels.apt_scan(
-            Cm,
-            np.asarray(bc, dtype=np.int64),
-            np.asarray(batch.idle_cats, dtype=np.int64),
-            int(cat_mask.size),
-        )
-        out: list[Assignment] = []
-        for i, j, alt in zip(sel_i, sel_j, alts):
-            kid = ready[int(cand_idx[int(i)])]
-            if alt:
-                kernel_name = batch.spec(kid).kernel
-                self._alt_by_kernel[kernel_name] = (
-                    self._alt_by_kernel.get(kernel_name, 0) + 1
-                )
-                out.append(
-                    Assignment(
-                        kernel_id=kid, processor=idle_names[int(j)], alternative=True
-                    )
-                )
-            else:
-                out.append(Assignment(kernel_id=kid, processor=idle_names[int(j)]))
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

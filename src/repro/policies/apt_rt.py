@@ -54,10 +54,6 @@ class APT_RT(APT):
     # The remaining-time check compares busy processors' free_at against
     # the current clock, so answers can flip on pure time advance.
     time_sensitive = True
-    # Overrides select() without a matching select_batch: the array
-    # backend must drive this policy per-kernel.  (Its structural check
-    # would catch this anyway; the flag states the intent.)
-    batchable = False
 
     def __init__(
         self,

@@ -407,18 +407,6 @@ class Policy(abc.ABC):
     #: check reads the clock.
     time_sensitive: bool = True
 
-    #: Whether the policy implements :meth:`DynamicPolicy.select_batch`
-    #: with scoring expressible over the whole ready set at once.  The
-    #: array engine backend routes batchable policies through
-    #: ``select_batch(BatchContext)`` instead of the per-invocation
-    #: ``select`` fixpoint; both paths must produce identical
-    #: assignments.  Classes set this alongside ``select_batch``;
-    #: instances whose configuration breaks batch purity (e.g. a seeded
-    #: MET) clear it in ``__init__``.  A subclass overriding ``select``
-    #: without overriding ``select_batch`` is detected and falls back to
-    #: the per-kernel path regardless of this flag.
-    batchable: bool = False
-
     def reset(self) -> None:
         """Clear per-run state.  Called by the simulator before each run."""
 
@@ -449,19 +437,6 @@ class DynamicPolicy(Policy):
         Called repeatedly until it returns no new assignment at the current
         time; it must therefore be idempotent on an unchanged context.
         """
-
-    def select_batch(self, batch: Any) -> list[Assignment]:
-        """Whole-ready-set variant of :meth:`select` for the array backend.
-
-        ``batch`` is a :class:`~repro.core.array_state.BatchContext`
-        exposing the ready set, idle processors and the engine's
-        execution-cost arrays.  Implementations must return exactly the
-        assignments the ``select`` fixpoint would have produced across
-        *all* of its invocations at the current instant — the array
-        backend applies the batch once instead of looping.  Only called
-        when :attr:`Policy.batchable` is true.
-        """
-        raise NotImplementedError(f"{self.name} does not implement select_batch")
 
     def preempt(self, ctx: SchedulingContext) -> Sequence[str]:
         """Processors whose running kernel this policy wants preempted.

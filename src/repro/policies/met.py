@@ -35,12 +35,8 @@ class MET(DynamicPolicy):
         # A seeded MET draws a permutation on *every* invocation, so its
         # answers are not a pure function of the context — opt out of the
         # simulator's skip-when-unchanged guard to keep the RNG stream
-        # aligned with an always-reinvoking engine.  The same impurity
-        # rules out the array backend's batch path (which must mirror
-        # select() call-for-call): only the deterministic FCFS variant
-        # is batchable.
+        # aligned with an always-reinvoking engine.
         self.time_sensitive = rng is not None
-        self.batchable = rng is None
 
     def select(self, ctx: SchedulingContext) -> list[Assignment]:
         out: list[Assignment] = []
@@ -64,21 +60,4 @@ class MET(DynamicPolicy):
             if p_min is not None:
                 del avail[p_min]
                 out.append(Assignment(kernel_id=kid, processor=p_min))
-        return out
-
-    def select_batch(self, batch) -> list[Assignment]:
-        # FCFS scan, popping each kernel's best category's first idle
-        # instance (declaration order) — the deque popleft reproduces
-        # select()'s first-avail-of-type probe without any cost lookups.
-        free = batch.idle_by_category()
-        n_free = len(batch.idle_names)
-        out: list[Assignment] = []
-        best_cat = batch.best_cat()
-        for i, kid in enumerate(batch.ready):
-            if not n_free:
-                break
-            cat_free = free.get(best_cat[i])
-            if cat_free:
-                out.append(Assignment(kernel_id=kid, processor=cat_free.popleft()))
-                n_free -= 1
         return out

@@ -18,7 +18,6 @@ class OLB(DynamicPolicy):
 
     name = "olb"
     time_sensitive = False
-    batchable = True
 
     def select(self, ctx: SchedulingContext) -> list[Assignment]:
         out: list[Assignment] = []
@@ -28,11 +27,3 @@ class OLB(DynamicPolicy):
                 break
             out.append(Assignment(kernel_id=kid, processor=idle.pop(0)))
         return out
-
-    def select_batch(self, batch) -> list[Assignment]:
-        # zip truncates at the shorter sequence — exactly select()'s
-        # first-ready-to-first-idle pairing.
-        return [
-            Assignment(kernel_id=kid, processor=name)
-            for kid, name in zip(batch.ready, batch.idle_names)
-        ]

@@ -6,8 +6,7 @@ needs a *dynamic* driver that dispatches the plan against live system
 state.  That driver is :class:`PlanDispatcher` — it is a
 :class:`~repro.policies.base.DynamicPolicy` like any other, not engine
 internals, which is why it lives here rather than in
-:mod:`repro.core.simulator` (where it is still re-exported under its
-historical ``_PlanDispatcher`` name for backward compatibility).
+:mod:`repro.core.simulator`.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ class PlanDispatcher(DynamicPolicy):
 
     name = "_plan"
     time_sensitive = False
-    batchable = True
 
     def __init__(self, plan: StaticPlan) -> None:
         self._plan = plan
@@ -71,29 +69,6 @@ class PlanDispatcher(DynamicPolicy):
                 continue
             i = self._cursor[proc_name]
             if i < len(order) and order[i] in ready:
-                self._cursor[proc_name] = i + 1
-                out.append(Assignment(kernel_id=order[i], processor=proc_name))
-        return out
-
-    def select_batch(self, batch) -> list[Assignment]:
-        # One pass over the per-processor plan cursors *is* the whole
-        # fixpoint: each idle processor takes at most one kernel (then it
-        # is busy for the rest of the instant) and the ready set only
-        # shrinks while assignments apply, so select()'s second round
-        # could never add anything — no cost lookups needed at all.
-        out: list[Assignment] = []
-        is_ready = batch.is_ready
-        idle = set(batch.idle_names)
-        for proc_name, order in self._order.items():
-            if proc_name not in idle:
-                continue
-            redo = self._redo.get(proc_name)
-            if redo:
-                if is_ready(redo[0]):
-                    out.append(Assignment(kernel_id=redo.pop(0), processor=proc_name))
-                continue
-            i = self._cursor[proc_name]
-            if i < len(order) and is_ready(order[i]):
                 self._cursor[proc_name] = i + 1
                 out.append(Assignment(kernel_id=order[i], processor=proc_name))
         return out

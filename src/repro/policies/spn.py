@@ -9,8 +9,6 @@ land on a processor orders of magnitude slower than its best one.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.policies.base import Assignment, DynamicPolicy, SchedulingContext
 
 
@@ -19,7 +17,6 @@ class SPN(DynamicPolicy):
 
     name = "spn"
     time_sensitive = False
-    batchable = True
 
     def select(self, ctx: SchedulingContext) -> list[Assignment]:
         out: list[Assignment] = []
@@ -37,21 +34,4 @@ class SPN(DynamicPolicy):
             ready.remove(kid)
             idle.remove(name)
             out.append(Assignment(kernel_id=kid, processor=name))
-        return out
-
-    def select_batch(self, batch) -> list[Assignment]:
-        ready = batch.ready
-        idle_names = batch.idle_names
-        if not ready or not idle_names:
-            return []
-        # Row-major argmin over the masked matrix = select()'s strict-<
-        # scan (kernel-outer, processor-inner, first occurrence wins);
-        # masking a row/column preserves the survivors' relative order.
-        E = batch.exec_idle().copy()
-        out: list[Assignment] = []
-        for _ in range(min(len(ready), len(idle_names))):
-            i, j = divmod(int(np.argmin(E)), E.shape[1])
-            out.append(Assignment(kernel_id=ready[i], processor=idle_names[j]))
-            E[i, :] = np.inf
-            E[:, j] = np.inf
         return out

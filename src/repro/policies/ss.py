@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.policies.base import Assignment, DynamicPolicy, SchedulingContext
 
 
@@ -23,8 +21,7 @@ def _population_stddev(values: list[float]) -> float:
         return 0.0
     mean = sum(values) / n
     # d * d rather than d ** 2: multiplication is a single correctly
-    # rounded IEEE operation on every platform, so the scalar loop and
-    # the array backend's vectorized accumulation agree bit-for-bit.
+    # rounded IEEE operation on every platform.
     total = 0.0
     for v in values:
         d = v - mean
@@ -37,7 +34,6 @@ class SS(DynamicPolicy):
 
     name = "ss"
     time_sensitive = False
-    batchable = True
 
     def select(self, ctx: SchedulingContext) -> list[Assignment]:
         out: list[Assignment] = []
@@ -55,42 +51,4 @@ class SS(DynamicPolicy):
             ready.remove(best_kid)
             idle.remove(name)
             out.append(Assignment(kernel_id=best_kid, processor=name))
-        return out
-
-    def select_batch(self, batch) -> list[Assignment]:
-        ready = batch.ready
-        idle_names = batch.idle_names
-        if not ready or not idle_names:
-            return []
-        E = batch.exec_idle()
-        rows = list(range(len(ready)))
-        cols = list(range(len(idle_names)))
-        out: list[Assignment] = []
-        while rows and cols:
-            sub = E[np.ix_(rows, cols)]
-            n = sub.shape[1]
-            if n <= 1:
-                sd = np.zeros(sub.shape[0])
-            else:
-                # Column-at-a-time accumulation mirrors the scalar loop's
-                # left-to-right addition order (np.sum's pairwise
-                # reduction would round differently).
-                acc = np.zeros(sub.shape[0])
-                for j in range(n):
-                    acc = acc + sub[:, j]
-                mean = acc / n
-                acc2 = np.zeros(sub.shape[0])
-                for j in range(n):
-                    d = sub[:, j] - mean
-                    acc2 = acc2 + d * d
-                sd = np.sqrt(acc2 / n)
-            # first-occurrence argmax/argmin = select()'s strict > / <
-            # scan order over the surviving ready kernels and idle procs
-            bi = int(np.argmax(sd))
-            bj = int(np.argmin(sub[bi]))
-            out.append(
-                Assignment(kernel_id=ready[rows[bi]], processor=idle_names[cols[bj]])
-            )
-            del rows[bi]
-            del cols[bj]
         return out

@@ -42,9 +42,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro import profiling
-from repro.core._kernels import jit_status
-from repro.core.engine import resolve_backend
 from repro.core.lookup import LookupTable
 from repro.experiments.scenarios import ScenarioSpec, get_scenario
 from repro.experiments.sweep import SimSettings, SweepJob, execute_payload
@@ -293,22 +290,6 @@ class JobRecord:
         }
 
 
-def _engine_stats() -> dict[str, object]:
-    """The ``engine`` section of ``GET /stats``.
-
-    ``totals`` aggregates the profile counters of every array-backend
-    run in *this process* — complete under the default
-    :class:`InlineExecutor` (worker threads share the module-global
-    accumulator); a :class:`ProcessExecutor`'s workers accumulate in
-    their own processes, so only locally-run payloads show up.
-    """
-    return {
-        "backend": resolve_backend(None),
-        "jit": jit_status(),
-        "totals": profiling.engine_totals(),
-    }
-
-
 # ----------------------------------------------------------------------
 # the manager
 # ----------------------------------------------------------------------
@@ -471,7 +452,6 @@ class JobManager:
             },
             "inflight": len(self._inflight),
             "store": self.store.stats(),
-            "engine": _engine_stats(),
         }
 
     def _prune_finished(self) -> None:

@@ -109,14 +109,6 @@ def test_hook_conformance_fixture():
     assert "handles" in messages[23]
 
 
-def test_backend_parity_fixture():
-    report = run_rule("backend-parity", FIXTURES / "backend_parity")
-    lines = sorted(f.line for f in report.new)
-    # BatchOnly fires twice (no select twin + never enabled)
-    assert lines == [6, 6, 11, 28, 33]
-    assert all(f.rule == "backend-parity" for f in report.new)
-
-
 def test_cache_version_guard_missing_fingerprint():
     report = run_rule("cache-version-guard", FIXTURES / "cache_version_guard")
     assert hits(report) == [(3, "experiments/sweep.py")]
@@ -146,24 +138,6 @@ def test_cache_version_guard_drift_and_bump(tmp_path):
 
     write_fingerprint(load_project(root))
     assert not run_rule("cache-version-guard", root).new
-
-
-def test_jit_kernel_pairs_fixture():
-    report = run_rule("jit-kernel-pairs", FIXTURES / "jit_kernel_pairs")
-    assert sorted(hits(report)) == [
-        (16, "core/_kernels.py"),  # _orphan_src: not registered
-        (22, "core/_kernels.py"),  # wrong twin name in the entry
-        (23, "core/_kernels.py"),  # twins referenced but undefined
-    ]
-    messages = {f.line: f.message for f in report.new}
-    assert "_orphan_src" in messages[16]
-    assert "_bad_names_src" in messages[22]
-    assert "undefined twin" in messages[23]
-
-
-def test_jit_kernel_pairs_clean_on_live_tree():
-    report = run_rule("jit-kernel-pairs", SRC_REPRO)
-    assert not report.new, [f.message for f in report.new]
 
 
 # ----------------------------------------------------------------------

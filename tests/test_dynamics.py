@@ -366,12 +366,11 @@ class TestCustomLayers:
         )
         assert not down.idle
 
-    def test_plan_dispatcher_backward_compat(self):
-        from repro.core.simulator import _PlanDispatcher
+    def test_plan_dispatcher_exported_from_policies(self):
         from repro.policies import PlanDispatcher
         from repro.policies.plan import PlanDispatcher as FromModule
 
-        assert _PlanDispatcher is PlanDispatcher is FromModule
+        assert PlanDispatcher is FromModule
 
 
 # ----------------------------------------------------------------------

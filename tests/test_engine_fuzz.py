@@ -1,220 +1,101 @@
-"""Differential fuzzing of the engine backends.
+"""Differential fuzzing of the engine.
 
 Hypothesis generates random scenarios — graph shape, system size,
-topology, policy, noise, runtime dynamics, arrival pattern — and every
-example requires the object and array backends to agree **bit for bit**
-on the schedule, the metrics and the policy stats.  Where the
-pre-refactor :class:`~repro.core.reference.ReferenceSimulator` is
-applicable (no dynamics, uncontended), it joins as a third oracle.
+topology, policy, noise, runtime dynamics, arrival pattern.  Every run
+must finish with a schedule that validates against its DFG, and:
+
+* where the pre-refactor :class:`~repro.core.reference.ReferenceSimulator`
+  applies (no dynamics, uncontended), the engine must agree with it
+  **bit for bit** on the schedule, the metrics and the policy stats
+  (``tests/test_golden_corpus.py`` pins fixed draws of the rest of this
+  space to recorded digests);
+* ``run_stream`` (admission + retirement) must match the merged DFG run
+  through ``run``.
 
 Every strategy draw is a plain scalar, so the falsifying example
 hypothesis prints on failure *is* the replay recipe: paste the printed
-kwargs into a direct call of the test function (or re-run with the
+kwargs into :func:`~engine_scenarios.run_scenario` (or re-run with the
 printed ``@reproduce_failure`` / ``--hypothesis-seed`` line) to get the
 exact same scenario back after shrinking.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dynamics import DynamicsSpec
 from repro.core.reference import ReferenceSimulator
 from repro.core.simulator import Simulator
-from repro.core.system import Processor, ProcessorType, SystemConfig
-from repro.core.topology import star_topology
-from repro.data.paper_tables import paper_lookup_table
-from repro.graphs.generators import (
-    make_chain_dfg,
-    make_fork_join_dfg,
-    make_independent_dfg,
-    make_layered_dfg,
-    make_pipeline_dfg,
-    make_type1_dfg,
-    make_type2_dfg,
+from repro.policies.registry import get_policy
+
+from tests.engine_scenarios import (
+    DYNAMICS_COMBOS,
+    DYNAMICS_SEED_RANGE,
+    N_APPS_RANGE,
+    N_RANGE,
+    PROCS_RANGE,
+    SEED_RANGE,
+    SHAPES,
+    STREAM_SHAPES,
+    TOPOLOGIES,
+    assert_same_run,
+    build_stream,
+    reference_applies,
+    run_scenario,
+    shipped_policies,
+    stream_simulator,
 )
-from repro.graphs.streams import ApplicationArrival, ApplicationStream
-from repro.policies.registry import available_policies, get_policy
-
-LOOKUP = paper_lookup_table()
-
-#: fault parameters far from the starvation regime (mttf ≫ service times)
-FAULT_PARAMS = {"mttf_ms": 60000.0, "mttr_ms": 4000.0}
-
-DYNAMICS_COMBOS = {
-    "none": (),
-    "fault": ("fault",),
-    "preempt": ("preempt",),
-    "fault+preempt": ("fault", "preempt"),
-}
 
 
-def build_dfg(shape: str, n: int, graph_seed: int):
-    rng = np.random.default_rng(graph_seed)
-    if shape == "type1":
-        return make_type1_dfg(max(n, 2), rng=rng)
-    if shape == "type2":
-        return make_type2_dfg(max(n, 13), rng=rng)
-    if shape == "independent":
-        return make_independent_dfg(n, rng=rng)
-    if shape == "chain":
-        return make_chain_dfg(n, rng=rng)
-    if shape == "forkjoin":
-        return make_fork_join_dfg(max(n - 2, 1), rng=rng)
-    if shape == "pipeline":
-        return make_pipeline_dfg(n, rng=rng, stage_width=3)
-    assert shape == "layered"
-    return make_layered_dfg(n, min(4, n), rng=rng)
+def _ints(bounds: tuple[int, int]):
+    return st.integers(min_value=bounds[0], max_value=bounds[1])
 
 
-def build_system(n_cpu: int, n_gpu: int, n_fpga: int, topology: str):
-    procs = (
-        [Processor(f"cpu{i}", ProcessorType.CPU) for i in range(n_cpu)]
-        + [Processor(f"gpu{i}", ProcessorType.GPU) for i in range(n_gpu)]
-        + [Processor(f"fpga{i}", ProcessorType.FPGA) for i in range(n_fpga)]
-    )
-    if topology == "flat":
-        return SystemConfig(procs, transfer_rate_gbps=4.0)
-    return SystemConfig(
-        procs,
-        topology=star_topology(
-            [p.name for p in procs],
-            rate_gbps=4.0,
-            contention=(topology == "star_contended"),
-        ),
-    )
-
-
-def build_dynamics(combo: str, seed: int):
-    specs = []
-    for kind in DYNAMICS_COMBOS[combo]:
-        if kind == "fault":
-            specs.append(DynamicsSpec("fault", {**FAULT_PARAMS, "seed": seed}))
-        else:
-            specs.append(DynamicsSpec("preempt", {"penalty_ms": 2.0}))
-    return specs
-
-
-def run_one(backend: str | None, sim_cls, system, dfg, policy_name, *,
-            noise: bool, dynamics, arrivals, jit=None):
-    kwargs = {}
-    if backend is not None:
-        kwargs["backend"] = backend
-        kwargs["jit"] = jit
-    sim = sim_cls(
-        system,
-        LOOKUP,
-        exec_noise_sigma=0.25 if noise else 0.0,
-        noise_seed=13,
-        dynamics=list(dynamics) or None,
-        **kwargs,
-    )
-    return sim.run(dfg, get_policy(policy_name), arrivals=arrivals or None)
-
-
-def assert_same_run(a, b, label: str) -> None:
-    assert list(a.schedule) == list(b.schedule), f"schedule divergence ({label})"
-    assert a.metrics == b.metrics, f"metrics divergence ({label})"
-    assert a.policy_stats == b.policy_stats, f"policy-stats divergence ({label})"
-
-
-class TestBackendFuzz:
+class TestEngineFuzz:
     @settings(max_examples=50, deadline=None)
     @given(
-        shape=st.sampled_from(
-            ["type1", "type2", "independent", "chain", "forkjoin", "pipeline",
-             "layered"]
-        ),
-        n=st.integers(min_value=4, max_value=24),
-        graph_seed=st.integers(min_value=0, max_value=2**16),
-        n_cpu=st.integers(min_value=1, max_value=2),
-        n_gpu=st.integers(min_value=1, max_value=2),
-        n_fpga=st.integers(min_value=1, max_value=2),
-        topology=st.sampled_from(["flat", "star", "star_contended"]),
-        policy_name=st.sampled_from(sorted(available_policies())),
+        shape=st.sampled_from(SHAPES),
+        n=_ints(N_RANGE),
+        graph_seed=_ints(SEED_RANGE),
+        n_cpu=_ints(PROCS_RANGE),
+        n_gpu=_ints(PROCS_RANGE),
+        n_fpga=_ints(PROCS_RANGE),
+        topology=st.sampled_from(TOPOLOGIES),
+        policy_name=st.sampled_from(shipped_policies()),
         noise=st.booleans(),
         dynamics_combo=st.sampled_from(sorted(DYNAMICS_COMBOS)),
-        dynamics_seed=st.integers(min_value=0, max_value=7),
-        arrival_seed=st.integers(min_value=0, max_value=2**16),
+        dynamics_seed=_ints(DYNAMICS_SEED_RANGE),
+        arrival_seed=_ints(SEED_RANGE),
         staggered=st.booleans(),
-        jit=st.sampled_from([None, "off", "on"]),
     )
-    def test_object_array_reference_agree(
-        self, shape, n, graph_seed, n_cpu, n_gpu, n_fpga, topology,
-        policy_name, noise, dynamics_combo, dynamics_seed, arrival_seed,
-        staggered, jit,
-    ):
-        dfg = build_dfg(shape, n, graph_seed)
-        system = build_system(n_cpu, n_gpu, n_fpga, topology)
-        dynamics = build_dynamics(dynamics_combo, dynamics_seed)
-        arrivals = {}
-        if staggered:
-            rng = np.random.default_rng(arrival_seed)
-            arrivals = {
-                kid: float(rng.exponential(500.0)) for kid in dfg.entry_kernels()
-            }
-        obj = run_one("object", Simulator, system, dfg, policy_name,
-                      noise=noise, dynamics=dynamics, arrivals=arrivals)
-        # jit axis: "on" compiles the _kernels twins where numba exists
-        # and falls back bit-identically where it doesn't, so the same
-        # examples pin jit parity on the CI numba leg and fallback
-        # parity everywhere else.
-        arr = run_one("array", Simulator, system, dfg, policy_name,
-                      noise=noise, dynamics=dynamics, arrivals=arrivals,
-                      jit=jit)
-        assert_same_run(obj, arr, "object vs array")
-        # the pre-refactor oracle predates dynamics and contention
-        if not dynamics and topology != "star_contended":
-            ref = run_one(None, ReferenceSimulator, system, dfg, policy_name,
-                          noise=noise, dynamics=(), arrivals=arrivals)
-            assert_same_run(obj, ref, "object vs reference")
+    def test_engine_agrees_with_reference(self, **scenario):
+        run = run_scenario(Simulator, **scenario)
+        if reference_applies(scenario["topology"], scenario["dynamics_combo"]):
+            ref = run_scenario(ReferenceSimulator, **scenario)
+            assert_same_run(run, ref, "engine vs reference")
 
     @settings(max_examples=25, deadline=None)
     @given(
-        n_apps=st.integers(min_value=1, max_value=5),
-        shapes=st.lists(
-            st.sampled_from(["type1", "forkjoin", "pipeline", "chain"]),
-            min_size=5, max_size=5,
-        ),
-        graph_seed=st.integers(min_value=0, max_value=2**16),
-        arrival_seed=st.integers(min_value=0, max_value=2**16),
-        policy_name=st.sampled_from(sorted(available_policies())),
+        n_apps=_ints(N_APPS_RANGE),
+        shapes=st.lists(st.sampled_from(STREAM_SHAPES), min_size=5, max_size=5),
+        graph_seed=_ints(SEED_RANGE),
+        arrival_seed=_ints(SEED_RANGE),
+        policy_name=st.sampled_from(shipped_policies()),
         dynamics_combo=st.sampled_from(sorted(DYNAMICS_COMBOS)),
-        jit=st.sampled_from([None, "off", "on"]),
     )
-    def test_streaming_backends_agree(
+    def test_stream_matches_merged_run(
         self, n_apps, shapes, graph_seed, arrival_seed, policy_name,
-        dynamics_combo, jit,
+        dynamics_combo,
     ):
-        """run_stream (admission + retirement) must also match across
-        backends — including service metrics — on random app streams."""
-        rng = np.random.default_rng(arrival_seed)
-        t = 0.0
-        apps = []
-        for i in range(n_apps):
-            dfg = build_dfg(shapes[i], 6, graph_seed + i)
-            apps.append(ApplicationArrival(dfg, t))
-            t += float(rng.exponential(2000.0))
-        dynamics = build_dynamics(dynamics_combo, 1)
-
-        def run(backend: str):
-            sim = Simulator(
-                build_system(2, 1, 1, "flat"),
-                LOOKUP,
-                dynamics=list(dynamics) or None,
-                backend=backend,
-                jit=jit if backend == "array" else None,
-            )
-            return sim.run_stream(
-                ApplicationStream(list(apps)), get_policy(policy_name)
-            )
-
-        obj, arr = run("object"), run("array")
-        assert_same_run(obj, arr, "stream object vs array")
-        assert obj.service == arr.service
+        """run_stream (admission + retirement) must reproduce the merged
+        DFG's run, dynamics included, on random app streams."""
+        stream = build_stream(n_apps, shapes, graph_seed, arrival_seed)
+        sim = stream_simulator(dynamics_combo)
+        merged, arrivals = stream.merged(name="stream")
+        out = sim.run_stream(stream, get_policy(policy_name))
+        ref = sim.run(merged, get_policy(policy_name), arrivals=arrivals)
+        assert_same_run(out, ref, "stream vs merged")
 
 
 if __name__ == "__main__":  # pragma: no cover - manual replay helper

@@ -1,9 +1,9 @@
 """Unit tests for the event queue — both implementations.
 
-Every ordering test runs against the object engine's ``EventQueue`` and
-the array backend's ``ArrayEventHeap`` through the ``make_queue``
-fixture: the heap is a drop-in replacement, so the two must agree on
-every observable (pop order, batch grouping, error contract).  The
+Every ordering test runs against the engine's ``EventQueue`` and
+``ArrayEventHeap`` through the ``make_queue`` fixture: the heap is a
+drop-in replacement, so the two must agree on every observable (pop
+order, batch grouping, error contract).  The
 hypothesis differential test at the bottom drives random push/pop
 programs through both side by side.
 """
@@ -242,8 +242,7 @@ _ops = st.lists(
 class TestArrayHeapMatchesEventQueue:
     """Drive random push/pop/peek programs through both implementations
     and require identical observable behaviour at every step — the
-    executable form of the drop-in-replacement contract the array
-    backend's run loop relies on."""
+    executable form of the drop-in-replacement contract."""
 
     @settings(max_examples=200, deadline=None)
     @given(ops=_ops)

@@ -482,8 +482,14 @@ class TestServiceHTTP:
     def test_registered_scenario_by_name(self):
         with run_service(slots=2) as server:
             client = ServiceClient(server.address)
+            # settings overrides must name SimSettings fields
             status, body = client.submit(
                 scenario="paper_type1", settings={"backend": None}
+            )
+            assert status == 400
+            assert "unknown settings keys: backend" in body["error"]
+            status, body = client.submit(
+                scenario="paper_type1", settings={"noise_seed": 0}
             )
             assert status == 202
             job_id = body["job"]["id"]
@@ -505,22 +511,3 @@ class TestServiceHTTP:
             assert stats["jobs"]["submitted"] == 2
             assert stats["jobs"]["completed"] == 2
             assert stats["store"]["puts"] == 1
-
-    def test_stats_reports_engine_section(self):
-        from repro.core._kernels import numba_available
-        from repro.core.engine import resolve_backend
-
-        with run_service() as server:
-            client = ServiceClient(server.address)
-            _, stats = client.stats()
-            engine = stats["engine"]
-            assert engine["backend"] == resolve_backend(None)
-            assert engine["jit"]["numba_available"] is numba_available()
-            assert "active" in engine["jit"]
-            assert engine["totals"]["runs"] >= 0
-            # array-backend payloads feed the in-process accumulator
-            if engine["backend"] == "array":
-                _, body = client.submit(spec=tiny_spec())
-                client.wait(body["job"]["id"])
-                _, stats = client.stats()
-                assert stats["engine"]["totals"]["runs"] >= 1

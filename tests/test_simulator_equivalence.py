@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core._kernels import numba_available
 from repro.core.reference import ReferenceSimulator
 from repro.core.simulator import Simulator
 from repro.core.system import CPU_GPU_FPGA, Processor, SystemConfig
@@ -74,29 +73,6 @@ def assert_identical_runs(sim_kwargs, dfg, policy_name, arrivals=None):
     )
     assert fast.metrics == slow.metrics
     assert fast.policy_stats == slow.policy_stats
-    # third axis: the struct-of-arrays backend must land on the same
-    # bits as both object-graph engines
-    arr = Simulator(system, lookup, backend="array", **sim_kwargs).run(
-        dfg, get_policy(policy_name), arrivals=arrivals
-    )
-    assert list(arr.schedule) == list(fast.schedule), (
-        f"array-backend divergence: {policy_name} on {dfg.name}"
-    )
-    assert arr.metrics == fast.metrics
-    assert arr.policy_stats == fast.policy_stats
-    # fourth axis, CI's numba leg only: the compiled _kernels twins must
-    # land on the same bits.  Without numba, jit="on" resolves to the
-    # very fallback just asserted above — skip the redundant run.
-    if numba_available():
-        jit = Simulator(system, lookup, backend="array", jit="on",
-                        **sim_kwargs).run(
-            dfg, get_policy(policy_name), arrivals=arrivals
-        )
-        assert list(jit.schedule) == list(fast.schedule), (
-            f"jit-kernel divergence: {policy_name} on {dfg.name}"
-        )
-        assert jit.metrics == fast.metrics
-        assert jit.policy_stats == fast.policy_stats
 
 
 class TestFullPaperSuite:
@@ -297,16 +273,6 @@ class TestEventDrivenArrivalPath:
         )
         assert out.metrics == ref.metrics
         assert out.policy_stats == ref.policy_stats
-        # and the array backend's streaming path must match both
-        arr = Simulator(system, lookup, backend="array", **sim_kwargs).run_stream(
-            EagerSource(stream, name=name), get_policy(policy_name)
-        )
-        assert list(arr.schedule) == list(ref.schedule), (
-            f"array stream divergence: {policy_name} on {name}"
-        )
-        assert arr.metrics == out.metrics
-        assert arr.policy_stats == out.policy_stats
-        assert arr.service == out.service
 
     @pytest.mark.parametrize("policy_name", ALL_POLICIES)
     @pytest.mark.parametrize("dfg_type", [1, 2])
@@ -486,50 +452,3 @@ class TestLayeredEngineSeams:
         ).run(dfg, get_policy(policy_name))
         assert list(layered.schedule) == list(base.schedule)
         assert layered.metrics == base.metrics
-
-
-class TestArrayBackendAnchors:
-    """Direct array-backend anchors beyond the shared assertion helpers:
-    the published Figure 5 end times and the contended-topology event
-    path must hold on the struct-of-arrays engine too."""
-
-    @pytest.mark.parametrize("jit", [None, "off", "on"])
-    def test_figure5_end_times_on_array_backend(self, jit):
-        # the published anchors must hold on every jit resolution — the
-        # "on" leg runs the compiled twins where numba exists and the
-        # bit-identical fallback elsewhere.
-        sim = Simulator(
-            CPU_GPU_FPGA(),
-            figure5_lookup_table(),
-            transfers_enabled=False,
-            backend="array",
-            jit=jit,
-        )
-        dfg = DFG.from_kernels(FIGURE5_KERNELS, name="figure5")
-        assert sim.run(dfg, MET()).makespan == pytest.approx(318.093, abs=1e-3)
-        assert sim.run(dfg, APT(alpha=8.0)).makespan == pytest.approx(
-            212.093, abs=1e-3
-        )
-
-    @pytest.mark.parametrize("policy_name", ["apt", "met", "heft"])
-    def test_contended_bus_identical_across_backends(self, policy_name, lookup):
-        from repro.core.topology import bus_topology
-
-        flat = CPU_GPU_FPGA(transfer_rate_gbps=4.0)
-        procs = [Processor(p.name, p.ptype) for p in flat]
-        system = SystemConfig(
-            procs,
-            topology=bus_topology(
-                [p.name for p in procs], bus_gbps=4.0, contention=True
-            ),
-        )
-        dfg = paper_suite(2)[2]
-        obj = Simulator(system, lookup, backend="object").run(
-            dfg, get_policy(policy_name)
-        )
-        arr = Simulator(system, lookup, backend="array").run(
-            dfg, get_policy(policy_name)
-        )
-        assert list(arr.schedule) == list(obj.schedule)
-        assert arr.metrics == obj.metrics
-        assert arr.policy_stats == obj.policy_stats

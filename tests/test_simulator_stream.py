@@ -178,27 +178,6 @@ class TestBoundedMemory:
             peaks.append(out.stream.peak_resident_kernels)
         assert peaks[1] <= peaks[0] * 1.5
 
-    def test_200k_stream_recycles_kernel_table_rows(self, lookup):
-        """Array-backend bounded memory: a 200k-kernel retired stream
-        must reuse kernel-table rows via the free list — the table's
-        high-water mark stays at the resident window (hundreds of
-        rows), not the stream length."""
-        source = streaming_scale_source(200_000, seed=7)
-        sim = Simulator(scale_system(), lookup, backend="array")
-        out = sim.run_stream(source, get_policy("met"), retain_schedule=False)
-        stats = out.stream
-        assert stats.n_kernels >= 200_000
-        assert stats.retired_kernels == stats.n_kernels
-        prof = sim.last_profile
-        assert prof is not None
-        # every completed kernel's row went back to the free list...
-        assert prof["rows_released"] == prof["n_completed"] == stats.n_kernels
-        assert prof["rows_in_use"] == 0
-        # ...and the table's high-water mark tracks the resident window
-        # (hundreds of rows), two-plus orders below the stream length
-        assert prof["kernel_table_rows"] <= stats.peak_resident_kernels
-        assert stats.peak_resident_kernels <= stats.n_kernels // 50
-
 
 class TestScaleStreamSource:
     def test_lazy_source_matches_eager_stream(self):
@@ -224,18 +203,6 @@ class TestScaleStreamSource:
             streaming_scale_source(4)
         with pytest.raises(ValueError):
             streaming_scale_source(100, mean_interarrival_ms=0.0)
-
-    def test_registry_names_resolve(self):
-        from repro.experiments.workloads import (
-            STREAM_SCENARIOS,
-            stream_scenario_source,
-        )
-
-        for name in STREAM_SCENARIOS:
-            src = stream_scenario_source(name)
-            assert src.total_kernels >= STREAM_SCENARIOS[name]["n_kernels"]
-        with pytest.raises(ValueError, match="unknown stream scenario"):
-            stream_scenario_source("nope")
 
 
 class TestStreamEdgeCases:
