@@ -79,8 +79,6 @@ class BatchAdmission(RuntimeDynamics):
         dfg = self.dfg
         kernel_ids = dfg.kernel_ids()
         e.graph = dfg
-        # Adjacency and specs precomputed once — dfg.predecessors() /
-        # .successors() sort per call, far too hot for the inner loop.
         e.specs.update((k, dfg.spec(k)) for k in kernel_ids)
         e.preds_of.update((k, dfg.predecessors(k)) for k in kernel_ids)
         e.succs_of.update((k, dfg.successors(k)) for k in kernel_ids)

@@ -3,7 +3,7 @@
 The scheduler's input is "a stream of applications … represented as a DFG
 of kernels" (paper §3.2).  This subpackage provides:
 
-* :mod:`repro.graphs.dfg` — the DFG container (networkx-backed);
+* :mod:`repro.graphs.dfg` — the DFG container;
 * :mod:`repro.graphs.generators` — the paper's DFG Type-1 / Type-2 shapes
   plus general-purpose DAG generators;
 * :mod:`repro.graphs.analysis` — critical path, levels, parallelism;

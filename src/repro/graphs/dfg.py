@@ -10,10 +10,10 @@ ascending kernel id.
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Iterable, Iterator
-
-import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -46,12 +46,22 @@ class DFG:
     Nodes are integer kernel ids (arrival order); each carries a
     :class:`KernelSpec`.  Edges are dependencies: ``u -> v`` means ``v``
     consumes ``u``'s output and cannot start before ``u`` completes.
+
+    Acyclicity is an insertion invariant.  While every edge points
+    forward (``u < v``), ascending id is a topological order, so a new
+    forward edge cannot close a cycle and is linked without a search;
+    any other edge is first checked for a path back to its source.
     """
 
     def __init__(self, name: str = "dfg") -> None:
-        self._g = nx.DiGraph()
         self.name = name
         self._next_id = 0
+        self._specs: dict[int, KernelSpec] = {}
+        # adjacency lists, each kept sorted by id
+        self._preds: dict[int, list[int]] = {}
+        self._succs: dict[int, list[int]] = {}
+        self._n_edges = 0
+        self._forward = True  # every edge points from a lower to a higher id
 
     # ------------------------------------------------------------------
     # construction
@@ -64,119 +74,148 @@ class DFG:
         """
         if kid is None:
             kid = self._next_id
-        if kid in self._g:
+        if kid in self._specs:
             raise ValueError(f"kernel id {kid} already present")
         if kid < 0:
             raise ValueError(f"kernel ids must be non-negative, got {kid}")
-        self._g.add_node(kid, spec=spec)
+        self._specs[kid] = spec
+        self._preds[kid] = []
+        self._succs[kid] = []
         self._next_id = max(self._next_id, kid + 1)
         return kid
 
     def add_dependency(self, src: int, dst: int) -> None:
         """Declare that ``dst`` depends on (consumes output of) ``src``."""
-        if src not in self._g or dst not in self._g:
+        self._check_endpoints(src, dst)
+        if self._has_edge(src, dst):
+            return
+        if not (self._forward and src < dst) and self._reaches(dst, src):
+            raise ValueError(f"edge {(src, dst)} would create a cycle")
+        self._link(src, dst)
+
+    def add_dependencies(self, edges: Iterable[tuple[int, int]]) -> None:
+        """Add a batch of edges, all or nothing."""
+        batch = [(src, dst) for src, dst in edges]
+        for src, dst in batch:
+            self._check_endpoints(src, dst)
+        was_forward = self._forward
+        fresh: list[tuple[int, int]] = []
+        for src, dst in batch:
+            if not self._has_edge(src, dst):
+                self._link(src, dst)
+                fresh.append((src, dst))
+        if not self._forward and len(self.topological_order()) < len(self):
+            for src, dst in fresh:
+                self._succs[src].remove(dst)
+                self._preds[dst].remove(src)
+            self._n_edges -= len(fresh)
+            self._forward = was_forward
+            raise ValueError("edge batch would create a cycle")
+
+    def _check_endpoints(self, src: int, dst: int) -> None:
+        if src not in self._specs or dst not in self._specs:
             raise KeyError(f"both endpoints must exist: {(src, dst)}")
         if src == dst:
             raise ValueError(f"self-dependency on kernel {src}")
-        self._g.add_edge(src, dst)
-        if not nx.is_directed_acyclic_graph(self._g):
-            self._g.remove_edge(src, dst)
-            raise ValueError(f"edge {(src, dst)} would create a cycle")
 
-    def add_dependencies(self, edges: Iterable[tuple[int, int]]) -> None:
-        """Bulk edge insertion with a single acyclicity check.
+    def _has_edge(self, src: int, dst: int) -> bool:
+        succs = self._succs[src]
+        i = bisect_left(succs, dst)
+        return i < len(succs) and succs[i] == dst
 
-        Per-edge :meth:`add_dependency` re-runs an O(V+E) cycle check per
-        edge, which is quadratic for the 10k-kernel scale workloads; this
-        checks once for the whole batch and rolls the batch back on
-        failure.
-        """
-        batch = [(src, dst) for src, dst in edges]
-        for src, dst in batch:
-            if src not in self._g or dst not in self._g:
-                raise KeyError(f"both endpoints must exist: {(src, dst)}")
-            if src == dst:
-                raise ValueError(f"self-dependency on kernel {src}")
-        fresh = [e for e in batch if not self._g.has_edge(*e)]
-        self._g.add_edges_from(fresh)
-        if not nx.is_directed_acyclic_graph(self._g):
-            self._g.remove_edges_from(fresh)
-            raise ValueError("edge batch would create a cycle")
+    def _reaches(self, start: int, target: int) -> bool:
+        """Whether a path of edges leads from ``start`` to ``target``."""
+        seen = {start}
+        stack = [start]
+        while stack:
+            for nxt in self._succs[stack.pop()]:
+                if nxt == target:
+                    return True
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return False
+
+    def _link(self, src: int, dst: int) -> None:
+        insort(self._succs[src], dst)
+        insort(self._preds[dst], src)
+        self._n_edges += 1
+        if src > dst:
+            self._forward = False
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     def spec(self, kid: int) -> KernelSpec:
-        return self._g.nodes[kid]["spec"]
+        return self._specs[kid]
 
     def kernel_ids(self) -> list[int]:
         """All kernel ids in arrival (ascending id) order."""
-        return sorted(self._g.nodes)
+        return sorted(self._specs)
 
     def predecessors(self, kid: int) -> list[int]:
-        return sorted(self._g.predecessors(kid))
+        return list(self._preds[kid])
 
     def successors(self, kid: int) -> list[int]:
-        return sorted(self._g.successors(kid))
+        return list(self._succs[kid])
 
     def edges(self) -> list[tuple[int, int]]:
-        return sorted(self._g.edges)
+        return [(u, v) for u in sorted(self._succs) for v in self._succs[u]]
 
     def entry_kernels(self) -> list[int]:
         """Kernels with no dependencies (ready at time zero)."""
-        return sorted(k for k in self._g.nodes if self._g.in_degree(k) == 0)
+        return sorted(k for k, preds in self._preds.items() if not preds)
 
     def exit_kernels(self) -> list[int]:
         """Kernels nothing depends on."""
-        return sorted(k for k in self._g.nodes if self._g.out_degree(k) == 0)
+        return sorted(k for k, succs in self._succs.items() if not succs)
 
     def topological_order(self) -> list[int]:
-        """A deterministic topological order (lexicographic tie-break)."""
-        return list(nx.lexicographical_topological_sort(self._g))
+        """A deterministic topological order (lexicographic tie-break).
+
+        Kahn's algorithm, always taking the smallest ready id next.
+        """
+        indegree = {k: len(preds) for k, preds in self._preds.items()}
+        heap = [k for k, d in indegree.items() if d == 0]
+        heapq.heapify(heap)
+        order: list[int] = []
+        while heap:
+            kid = heapq.heappop(heap)
+            order.append(kid)
+            for nxt in self._succs[kid]:
+                indegree[nxt] -= 1
+                if indegree[nxt] == 0:
+                    heapq.heappush(heap, nxt)
+        return order
 
     def __len__(self) -> int:
-        return self._g.number_of_nodes()
+        return len(self._specs)
 
     def __contains__(self, kid: int) -> bool:
-        return kid in self._g
+        return kid in self._specs
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.kernel_ids())
 
     @property
     def n_edges(self) -> int:
-        return self._g.number_of_edges()
+        return self._n_edges
 
     def is_empty(self) -> bool:
         return len(self) == 0
 
     def validate(self) -> None:
         """Check structural invariants; raises ``ValueError`` on violation."""
-        if not nx.is_directed_acyclic_graph(self._g):
+        if len(self.topological_order()) < len(self):
             raise ValueError("DFG contains a cycle")
-        for kid in self._g.nodes:
-            if "spec" not in self._g.nodes[kid]:
-                raise ValueError(f"kernel {kid} has no spec attached")
-
-    def as_networkx(self) -> nx.DiGraph:
-        """A *copy* of the underlying networkx graph."""
-        return self._g.copy()
 
     # ------------------------------------------------------------------
     def subgraph_counts(self) -> dict[str, int]:
         """Count kernel instances by kernel type (for workload summaries)."""
         counts: dict[str, int] = {}
-        for kid in self._g.nodes:
-            counts[self.spec(kid).kernel] = counts.get(self.spec(kid).kernel, 0) + 1
+        for spec in self._specs.values():
+            counts[spec.kernel] = counts.get(spec.kernel, 0) + 1
         return dict(sorted(counts.items()))
-
-    def copy(self, name: str | None = None) -> "DFG":
-        out = DFG(name or self.name)
-        for kid in self.kernel_ids():
-            out.add_kernel(self.spec(kid), kid=kid)
-        for u, v in self.edges():
-            out.add_dependency(u, v)
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DFG({self.name!r}, kernels={len(self)}, edges={self.n_edges})"

@@ -93,8 +93,6 @@ class ApplicationStream:
                 new_id = merged.add_kernel(app.dfg.spec(kid), kid=offset + len(id_map))
                 id_map[kid] = new_id
                 arrivals[new_id] = app.arrival_ms
-            # bulk insertion: one cycle check per application, not per edge
-            # (per-edge checks are quadratic on 10k-kernel streams).
             merged.add_dependencies(
                 (id_map[u], id_map[v]) for u, v in app.dfg.edges()
             )

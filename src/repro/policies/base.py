@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.core.cost import CostModel
-from repro.core.lookup import LookupTable
 from repro.core.system import Processor, ProcessorType, SystemConfig
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -124,11 +123,6 @@ class SchedulingContext:
     hot path depends on not copying them).  ``ready`` and ``time`` are
     immutable per invocation.  A policy must consume its context inside
     ``select`` and never cache it across calls.
-
-    Construction accepts either a fully-configured ``cost``
-    (:class:`~repro.core.cost.CostModel`) — the simulator's path — or the
-    legacy ``lookup``/``element_size``/``transfer_mode`` pieces, from
-    which a transfers-enabled model is assembled.
     """
 
     __slots__ = (
@@ -153,30 +147,16 @@ class SchedulingContext:
         ready: Sequence[int],
         dfg: "DFG",
         system: SystemConfig,
-        lookup: LookupTable | None = None,
+        cost: CostModel,
         views: Mapping[str, ProcessorView] = (),  # type: ignore[assignment]
         assignment_of: Mapping[int, str] = (),  # type: ignore[assignment]
         completed: frozenset[int] | set[int] = frozenset(),
-        element_size: int = 4,
-        transfer_mode: str = "single",
         exec_history: Mapping[str, Sequence[float]] = (),  # type: ignore[assignment]
-        cost: CostModel | None = None,
-        transfers_enabled: bool = True,
         predecessors_of: Mapping[int, list[int]] | None = None,
         specs_of: "Mapping[int, object] | None" = None,
         transfer_memo: "dict[tuple[int, str], float] | None" = None,
         preemption: PreemptionInfo | None = None,
     ) -> None:
-        if cost is None:
-            if lookup is None:
-                raise TypeError("SchedulingContext needs either cost= or lookup=")
-            cost = CostModel(
-                system,
-                lookup,
-                element_size=element_size,
-                transfer_mode=transfer_mode,
-                transfers_enabled=transfers_enabled,
-            )
         self.time = time
         self.ready = tuple(ready)
         self.dfg = dfg
@@ -190,25 +170,6 @@ class SchedulingContext:
         self._specs = specs_of
         self._transfer_memo = transfer_memo
         self.preemption = preemption
-
-    # ------------------------------------------------------------------
-    # cost-model passthroughs (back-compat attribute surface)
-    # ------------------------------------------------------------------
-    @property
-    def lookup(self) -> LookupTable:
-        return self.cost.lookup
-
-    @property
-    def element_size(self) -> int:
-        return self.cost.element_size
-
-    @property
-    def transfer_mode(self) -> str:
-        return self.cost.transfer_mode
-
-    @property
-    def transfers_enabled(self) -> bool:
-        return self.cost.transfers_enabled
 
     # ------------------------------------------------------------------
     # derived helpers shared by all policies

@@ -193,12 +193,11 @@ class TestContextTransferTimeHonorsTheSwitch:
             ready=(1,),
             dfg=dfg,
             system=system,
-            lookup=synth_lookup,
+            cost=CostModel(system, synth_lookup, transfers_enabled=transfers_enabled),
             views=views,
             assignment_of={0: "cpu0"},
             completed=frozenset({0}),
             exec_history={p.name: [] for p in system},
-            transfers_enabled=transfers_enabled,
         )
 
     def test_transfer_time_zero_when_disabled(self, system, synth_lookup):

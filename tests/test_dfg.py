@@ -1,6 +1,11 @@
 """Unit tests for the DFG container."""
 
+import gc
+import weakref
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graphs.dfg import DFG, KernelSpec
 
@@ -120,23 +125,38 @@ class TestQueries:
         dfg = DFG.from_kernels([k("x"), k("x"), k("y")])
         assert dfg.subgraph_counts() == {"x": 2, "y": 1}
 
-    def test_copy_is_independent(self, diamond):
-        dup = diamond.copy()
-        dup.add_kernel(k("extra"))
-        assert len(dup) == 5
-        assert len(diamond) == 4
-        assert dup.edges() == diamond.edges()
-
-    def test_as_networkx_returns_copy(self, diamond):
-        g = diamond.as_networkx()
-        g.remove_node(0)
-        assert 0 in diamond
-
     def test_empty_dfg(self):
         dfg = DFG()
         assert dfg.is_empty()
         assert dfg.entry_kernels() == []
         dfg.validate()
+
+    def test_neighbours_of_unknown_id_raise_keyerror(self, diamond):
+        with pytest.raises(KeyError):
+            diamond.predecessors(9)
+        with pytest.raises(KeyError):
+            diamond.successors(9)
+
+    def test_neighbour_lists_are_fresh_copies(self, diamond):
+        diamond.predecessors(3).append(0)
+        diamond.successors(0).clear()
+        diamond.edges().clear()
+        assert diamond.predecessors(3) == [1, 2]
+        assert diamond.successors(0) == [1, 2]
+        assert diamond.n_edges == 4
+
+    def test_hashable_by_identity_and_weakrefable(self, diamond):
+        # the sweep memoizes per DFG in a WeakKeyDictionary
+        twin = DFG.from_kernels(
+            [k("a"), k("b"), k("c"), k("d")],
+            dependencies=[(0, 1), (0, 2), (1, 3), (2, 3)],
+        )
+        assert diamond != twin
+        memo = weakref.WeakKeyDictionary({diamond: 1, twin: 2})
+        assert memo[diamond] == 1 and memo[twin] == 2
+        del twin
+        gc.collect()
+        assert list(memo) == [diamond]
 
 
 class TestBulkDependencies:
@@ -166,3 +186,124 @@ class TestBulkDependencies:
         dfg = DFG.from_kernels([KernelSpec("k", 10) for _ in range(2)])
         with pytest.raises(ValueError, match="self-dependency"):
             dfg.add_dependencies([(1, 1)])
+
+
+# ----------------------------------------------------------------------
+# differential property test: DFG ≡ a brute-force edge-set model
+# ----------------------------------------------------------------------
+def _reachable(nodes, edges):
+    """``reach[k]``: every node a path leads to from ``k``, found by
+    relaxing every edge until nothing changes."""
+    reach = {k: set() for k in nodes}
+    changed = True
+    while changed:
+        changed = False
+        for u, v in edges:
+            new = {v} | reach[v]
+            if not new <= reach[u]:
+                reach[u] |= new
+                changed = True
+    return reach
+
+
+class _Oracle:
+    """A DAG over kernels ``0..n-1`` kept as a plain edge set."""
+
+    def __init__(self, n):
+        self.nodes = range(n)
+        self.edges = set()
+
+    def add(self, batch):
+        """Insert all of ``batch`` or none of it; returns the exception
+        type :meth:`DFG.add_dependencies` should raise, or ``None``."""
+        for u, v in batch:
+            if u not in self.nodes or v not in self.nodes:
+                return KeyError
+            if u == v:
+                return ValueError
+        candidate = self.edges | set(batch)
+        reach = _reachable(self.nodes, candidate)
+        if any(k in reach[k] for k in self.nodes):
+            return ValueError
+        self.edges = candidate
+        return None
+
+    def predecessors(self, kid):
+        return sorted(u for u, v in self.edges if v == kid)
+
+    def successors(self, kid):
+        return sorted(v for u, v in self.edges if u == kid)
+
+    def topological_order(self):
+        """Repeatedly place the smallest id whose predecessors are placed."""
+        order = []
+        while len(order) < len(self.nodes):
+            order.append(
+                min(
+                    k
+                    for k in self.nodes
+                    if k not in order
+                    and all(u in order for u in self.predecessors(k))
+                )
+            )
+        return order
+
+
+@st.composite
+def _programs(draw):
+    """``n`` kernels and a sequence of single-edge and batch insertions.
+
+    Forward, backward, duplicate, self and unknown-endpoint edges all
+    occur, alone and mixed in batches.  Each existing id is drawn three
+    times as often as each of the unknown ids ``-1`` and ``n``, so most
+    batches get past the endpoint check, and programs are at least ten
+    operations long, so a backward edge is usually followed by edges
+    that would close a cycle through it.
+    """
+    n = draw(st.integers(1, 12))
+    kid = st.sampled_from([*range(n)] * 3 + [-1, n])
+    edge = st.tuples(kid, kid)
+    op = st.one_of(
+        edge.map(lambda e: ("one", [e])),
+        st.lists(edge, max_size=5).map(lambda batch: ("batch", batch)),
+    )
+    return n, draw(st.lists(op, min_size=10, max_size=40))
+
+
+class TestMatchesOracle:
+    """Drive random insertion programs through the DFG and the oracle and
+    require the same decision, exception type and graph after every
+    step."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(program=_programs())
+    def test_same_graph_after_every_operation(self, program):
+        n, ops = program
+        dfg = DFG.from_kernels([k() for _ in range(n)])
+        oracle = _Oracle(n)
+        for kind, batch in ops:
+            before = dfg.edges()
+            expected = oracle.add(batch)
+            raised = None
+            try:
+                if kind == "one":
+                    dfg.add_dependency(*batch[0])
+                else:
+                    dfg.add_dependencies(batch)
+            except (KeyError, ValueError) as exc:
+                raised = type(exc)
+            assert raised is expected
+            if raised is not None:
+                assert dfg.edges() == before
+            assert dfg.edges() == sorted(oracle.edges)
+            assert dfg.n_edges == len(oracle.edges)
+            for kid in range(n):
+                assert dfg.predecessors(kid) == oracle.predecessors(kid)
+                assert dfg.successors(kid) == oracle.successors(kid)
+            assert dfg.entry_kernels() == [
+                kid for kid in range(n) if not oracle.predecessors(kid)
+            ]
+            assert dfg.exit_kernels() == [
+                kid for kid in range(n) if not oracle.successors(kid)
+            ]
+            assert dfg.topological_order() == oracle.topological_order()

@@ -251,6 +251,7 @@ class TestSystemIntegration:
         # SchedulingContext.transfer_sources mirrors the simulator's
         # contended-transfer source filter: a route that charges nothing
         # (infinite bandwidth, zero latency) opens no flow.
+        from repro.core.cost import CostModel
         from repro.data.paper_tables import paper_lookup_table
         from repro.graphs.dfg import DFG, KernelSpec
         from repro.policies.base import SchedulingContext
@@ -278,7 +279,7 @@ class TestSystemIntegration:
             ready=(k2,),
             dfg=dfg,
             system=system,
-            lookup=paper_lookup_table(),
+            cost=CostModel(system, paper_lookup_table()),
             assignment_of={k0: "a", k1: "b"},
         )
         assert ctx.transfer_sources(k2, "c") == ["b"]  # a->c is free (inf bw)
