@@ -47,14 +47,15 @@ mutations as the pre-split monolith — the bit-for-bit guarantee
 
 from __future__ import annotations
 
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Deque, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Deque, Iterator, Mapping, Sequence
 
 from repro.core.events import Event, EventKind, EventQueue
 from repro.core.schedule import ScheduleEntry
 from repro.policies.base import (
     Assignment,
+    DynamicPolicy,
     PreemptionInfo,
     ProcessorView,
     SchedulingContext,
@@ -62,9 +63,9 @@ from repro.policies.base import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.cost import CostModel
-    from repro.core.system import SystemConfig
+    from repro.core.system import ProcessorType, SystemConfig
     from repro.graphs.dfg import DFG
-    from repro.policies.base import DynamicPolicy, Policy
+    from repro.policies.base import Policy
 
 
 class SchedulingError(RuntimeError):
@@ -98,22 +99,60 @@ class _ReadyQueue:
     """Order-preserving ready set: O(1) membership, add and removal.
 
     Iteration order is insertion order — the FCFS discipline the list
-    implementation provided, without its O(n) ``remove``.
+    implementation provided, without its O(n) ``remove``.  Each kernel
+    carries the sequence number of its insertion.
+
+    Given ``classify`` (kernel id → processor categories), the queue is
+    also the candidate index: ``buckets`` files each ready kernel under
+    every category ``classify`` returns, each bucket in FCFS (sequence)
+    order.  Without it ``buckets`` is ``None``.  Buckets are
+    ``OrderedDict``s because FCFS removal empties them from the head: a
+    plain dict keeps the deleted slots until its next resize, and every
+    walk's first step would skip them all.
     """
 
-    __slots__ = ("_d", "_tuple")
+    __slots__ = ("_d", "_tuple", "_seq", "_classify", "_buckets")
 
-    def __init__(self, items: "list[int] | tuple[int, ...]" = ()) -> None:
-        self._d: dict[int, None] = dict.fromkeys(items)
+    def __init__(
+        self, classify: "Callable[[int], Sequence[ProcessorType]] | None" = None
+    ) -> None:
+        self._d: dict[int, int] = {}
         self._tuple: tuple[int, ...] | None = None
+        self._seq = 0
+        self._classify = classify
+        self._buckets: dict[ProcessorType, OrderedDict[int, int]] = {}
+
+    @property
+    def buckets(self) -> "Mapping[ProcessorType, Mapping[int, int]] | None":
+        """Category → ``{kernel id: sequence number}``; ``None`` without
+        an index."""
+        return None if self._classify is None else self._buckets
 
     def add(self, kid: int) -> None:
-        self._d[kid] = None
+        d = self._d
+        if kid in d:
+            # a re-add would leave the buckets out of FCFS order
+            raise ValueError(f"kernel {kid} is already ready")
+        seq = d[kid] = self._seq
+        self._seq = seq + 1
         self._tuple = None
+        classify = self._classify
+        if classify is not None:
+            buckets = self._buckets
+            for ptype in classify(kid):
+                bucket = buckets.get(ptype)
+                if bucket is None:
+                    bucket = buckets[ptype] = OrderedDict()
+                bucket[kid] = seq
 
     def remove(self, kid: int) -> None:
         del self._d[kid]
         self._tuple = None
+        classify = self._classify
+        if classify is not None:
+            buckets = self._buckets
+            for ptype in classify(kid):
+                del buckets[ptype][kid]
 
     def __contains__(self, kid: int) -> bool:
         return kid in self._d
@@ -296,7 +335,7 @@ class EngineCore:
         self.not_arrived: set[int] = set()
         self.noise: dict[int, float] = {}
 
-        self.ready = _ReadyQueue()
+        self.ready = _ReadyQueue(self._placement_classifier(driver))
         self.ready_time: dict[int, float] = {}
         self.assign_time: dict[int, float] = {}
         self.is_alternative: dict[int, bool] = {}
@@ -394,11 +433,42 @@ class EngineCore:
             not (st.faulted or st.penalized),
         )
 
+    def _placement_classifier(
+        self, driver: "DynamicPolicy"
+    ) -> "Callable[[int], Sequence[ProcessorType]] | None":
+        """Kernel id → the driver's ``placement_types`` for its cost
+        class, asked once per class; ``None`` (no index) unless the
+        driver overrides the hook."""
+        if type(driver).placement_types is DynamicPolicy.placement_types:
+            return None
+        specs = self.specs
+        cost = self.cost
+        place = driver.placement_types
+        memo: dict[tuple[str, int], tuple[ProcessorType, ...]] = {}
+
+        def classify(kid: int) -> tuple[ProcessorType, ...]:
+            spec = specs[kid]
+            key = (spec.kernel, spec.data_size)
+            ptypes = memo.get(key)
+            if ptypes is None:
+                placed = place(*key, cost)
+                if placed is None:
+                    raise TypeError(
+                        f"{type(driver).__name__}.placement_types returned None"
+                    )
+                ptypes = memo[key] = tuple(placed)
+            return ptypes
+
+        return classify
+
     def make_context(self) -> SchedulingContext:
-        # Live references throughout — nothing is copied per invocation.
+        # Live references throughout — nothing is copied per invocation,
+        # and the ready tuple is built only if the policy reads it.
+        ready = self.ready
         return SchedulingContext(
             time=self.now,
-            ready=self.ready.as_tuple(),
+            ready=ready.as_tuple,
+            ready_by_type=ready.buckets,
             dfg=self.graph,  # type: ignore[arg-type]
             system=self.system,
             views=self.views,

@@ -22,7 +22,52 @@ slower processor), large α floods slow processors.  The paper finds a
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heapreplace
+from typing import Iterator, Mapping
+
+from repro.core.cost import CostModel
+from repro.core.system import ProcessorType
 from repro.policies.base import Assignment, DynamicPolicy, SchedulingContext
+
+
+def _candidates(ctx: SchedulingContext, avail: Mapping[str, None]) -> Iterator[int]:
+    """The ready kernels APT could still place, in FCFS order.
+
+    With the engine's candidate index this is the FCFS union of the
+    buckets of the categories with a processor in ``avail``, merged by
+    sequence number; a category stops contributing as soon as its last
+    processor leaves ``avail``.  A kernel left out has no available
+    p_min and an exec time above α·x on every available category, and
+    transfers only add to that, so it could not have been placed.
+    Without an index every ready kernel is a candidate.
+    """
+    buckets = ctx.ready_by_type
+    if buckets is None:
+        yield from ctx.ready
+        return
+    free = avail.keys()
+    heap = []
+    for i, (ptype, bucket) in enumerate(buckets.items()):
+        names = tuple(p.name for p in ctx.system.of_type(ptype))
+        entries = iter(bucket.items())
+        head = next(entries, None)
+        if head is not None and not free.isdisjoint(names):
+            heap.append((head[1], i, head[0], names, entries))
+    heapify(heap)
+    last = -1
+    while heap:
+        seq, i, kid, names, entries = heap[0]
+        if free.isdisjoint(names):  # the category's last processor was taken
+            heappop(heap)
+            continue
+        head = next(entries, None)
+        if head is None:
+            heappop(heap)
+        else:
+            heapreplace(heap, (head[1], i, head[0], names, entries))
+        if seq != last:  # once per kernel, whatever buckets it is in
+            last = seq
+            yield kid
 
 
 class APT(DynamicPolicy):
@@ -61,6 +106,26 @@ class APT(DynamicPolicy):
             "alpha": self.alpha,
         }
 
+    def placement_types(
+        self, kernel: str, data_size: int, cost: CostModel
+    ) -> tuple[ProcessorType, ...]:
+        """Categories whose exec time is within α·x — p_min among them,
+        since α ≥ 1.  An alternative's exec + transfer can only be
+        larger, so no other category can ever take the kernel."""
+        threshold = self.alpha * cost.best_processor(kernel, data_size)[1]
+        return tuple(
+            ptype
+            for ptype in cost.system.processor_types()
+            if cost.exec_time(kernel, data_size, ptype) <= threshold
+        )
+
+    def _alternative_bound(
+        self, ctx: SchedulingContext, best_ptype: ProcessorType, x: float
+    ) -> float:
+        """An alternative's exec + transfer must also stay below this;
+        APT adds no bound beyond the threshold."""
+        return float("inf")
+
     # ------------------------------------------------------------------
     def select(self, ctx: SchedulingContext) -> list[Assignment]:
         out: list[Assignment] = []
@@ -73,7 +138,7 @@ class APT(DynamicPolicy):
         }
         ptype_of = {p.name: p.ptype for p in ctx.system}
 
-        for kid in ctx.ready:
+        for kid in _candidates(ctx, avail):
             if not avail:
                 # No processor can accept work: neither a p_min nor an
                 # alternative exists for any remaining kernel.
@@ -96,7 +161,7 @@ class APT(DynamicPolicy):
                 ctx.assignment_of.get(p) is not None for p in ctx.predecessors(kid)
             )
             best_alt: str | None = None
-            best_cost = float("inf")
+            best_cost = self._alternative_bound(ctx, best_ptype, x)
             for name in avail:
                 cost = ctx.exec_time(kid, ptype_of[name])
                 if needs_transfer:

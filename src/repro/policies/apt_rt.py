@@ -31,8 +31,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.core.system import ProcessorType
 from repro.policies.apt import APT
-from repro.policies.base import Assignment, SchedulingContext
+from repro.policies.base import SchedulingContext
 
 
 class APT_RT(APT):
@@ -137,44 +138,13 @@ class APT_RT(APT):
             requests.append(target)
         return requests
 
-    def select(self, ctx: SchedulingContext) -> list[Assignment]:
-        out: list[Assignment] = []
-        taken: set[str] = set()
-
-        def idle(name: str) -> bool:
-            return ctx.views[name].idle and name not in taken
-
-        for kid in ctx.ready:
-            best_ptype, x = ctx.best_processor_type(kid)
-            instances = ctx.system.of_type(best_ptype)
-            p_min = next((p.name for p in instances if idle(p.name)), None)
-            if p_min is not None:
-                taken.add(p_min)
-                out.append(Assignment(kernel_id=kid, processor=p_min))
-                continue
-            # Estimated completion if we wait for the earliest-free best
-            # instance: its remaining busy time plus x.
-            wait_finish = (
-                min(ctx.views[p.name].free_at for p in instances) - ctx.time + x
-            )
-            threshold = self.alpha * x
-            best_alt: str | None = None
-            best_cost = float("inf")
-            for proc in ctx.system:
-                if not idle(proc.name):
-                    continue
-                cost = ctx.exec_time(kid, proc.ptype)
-                if self.include_transfer:
-                    cost += ctx.transfer_time(kid, proc.name)
-                if cost <= threshold and cost < wait_finish and cost < best_cost:
-                    best_alt, best_cost = proc.name, cost
-            if best_alt is not None:
-                taken.add(best_alt)
-                kernel_name = ctx.spec(kid).kernel
-                self._alt_by_kernel[kernel_name] = (
-                    self._alt_by_kernel.get(kernel_name, 0) + 1
-                )
-                out.append(
-                    Assignment(kernel_id=kid, processor=best_alt, alternative=True)
-                )
-        return out
+    def _alternative_bound(
+        self, ctx: SchedulingContext, best_ptype: ProcessorType, x: float
+    ) -> float:
+        # Estimated completion if we wait for the earliest-free best
+        # instance: its remaining busy time plus x.
+        return (
+            min(ctx.views[p.name].free_at for p in ctx.system.of_type(best_ptype))
+            - ctx.time
+            + x
+        )

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Collection, Mapping, Sequence
 
 from repro.core.cost import CostModel
 from repro.core.system import Processor, ProcessorType, SystemConfig
@@ -120,14 +120,23 @@ class SchedulingContext:
     Contexts are *views*, not snapshots: ``views``, ``assignment_of``,
     ``completed`` and ``exec_history`` may be live structures the
     simulator keeps updating between policy invocations (the incremental
-    hot path depends on not copying them).  ``ready`` and ``time`` are
-    immutable per invocation.  A policy must consume its context inside
-    ``select`` and never cache it across calls.
+    hot path depends on not copying them).  ``ready`` is read on first
+    access; the engine never changes the ready set while a policy holds
+    the context.  A policy must consume its context inside ``select``
+    and never cache it across calls.
+
+    ``ready_by_type`` is the engine's candidate index, present only when
+    the driving policy overrides :meth:`DynamicPolicy.placement_types`:
+    per processor category, the ready kernels filed under it, each
+    mapped to its ready-set sequence number, in FCFS order.  It is
+    ``None`` on every other context (hand-built ones, :meth:`with_ready`,
+    the reference simulator).
     """
 
     __slots__ = (
         "time",
-        "ready",
+        "_ready",
+        "ready_by_type",
         "dfg",
         "system",
         "cost",
@@ -144,7 +153,7 @@ class SchedulingContext:
     def __init__(
         self,
         time: float,
-        ready: Sequence[int],
+        ready: "Sequence[int] | Callable[[], tuple[int, ...]]",
         dfg: "DFG",
         system: SystemConfig,
         cost: CostModel,
@@ -156,9 +165,15 @@ class SchedulingContext:
         specs_of: "Mapping[int, object] | None" = None,
         transfer_memo: "dict[tuple[int, str], float] | None" = None,
         preemption: PreemptionInfo | None = None,
+        ready_by_type: "Mapping[ProcessorType, Mapping[int, int]] | None" = None,
     ) -> None:
         self.time = time
-        self.ready = tuple(ready)
+        # ``ready`` is the kernels themselves, or a function returning
+        # them that is called on first access (the engine's O(1) path)
+        self._ready: "tuple[int, ...] | Callable[[], tuple[int, ...]]" = (
+            ready if callable(ready) else tuple(ready)
+        )
+        self.ready_by_type = ready_by_type
         self.dfg = dfg
         self.system = system
         self.cost = cost
@@ -170,6 +185,14 @@ class SchedulingContext:
         self._specs = specs_of
         self._transfer_memo = transfer_memo
         self.preemption = preemption
+
+    @property
+    def ready(self) -> tuple[int, ...]:
+        """The ready kernels in FCFS order."""
+        ready = self._ready
+        if callable(ready):
+            ready = self._ready = ready()
+        return ready
 
     # ------------------------------------------------------------------
     # derived helpers shared by all policies
@@ -305,7 +328,9 @@ class SchedulingContext:
     def with_ready(self, ready: Sequence[int]) -> "SchedulingContext":
         """A sibling context exposing a reordered/filtered ready set.
 
-        Used by queue-discipline ablations; shares every other field.
+        Used by queue-discipline ablations; shares every other field
+        except the candidate index, which describes the engine's FCFS
+        ready set, not ``ready``.
         """
         return SchedulingContext(
             time=self.time,
@@ -412,6 +437,23 @@ class DynamicPolicy(Policy):
         The default preempts nothing.
         """
         return ()
+
+    def placement_types(
+        self, kernel: str, data_size: int, cost: CostModel
+    ) -> Collection[ProcessorType] | None:
+        """The processor categories :meth:`select` could ever place a
+        kernel of this cost class on, or ``None`` for no candidate index.
+
+        A policy that overrides this opts into the engine's candidate
+        index: the engine calls it once per cost class ``(kernel,
+        data_size)`` and files every ready kernel in one FCFS bucket per
+        category returned, exposed as ``ctx.ready_by_type``.  The result
+        must include *every* category ``select`` could place the kernel
+        on; a policy may then skip the kernels filed only under
+        categories with no free processor.  The default returns ``None``:
+        no index, and no bucket upkeep.
+        """
+        return None
 
     def on_abort(self, kid: int) -> None:
         """A kernel this policy had placed was aborted (fault/preemption).

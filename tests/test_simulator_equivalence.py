@@ -235,6 +235,21 @@ class TestStreamingArrivals:
             arrivals=arrivals,
         )
 
+    @pytest.mark.parametrize("policy_name", ["apt", "apt_rt"])
+    def test_saturated_stream_equivalence(self, policy_name, lookup):
+        # Arrivals outpace 12 processors, so up to ~100 kernels wait and
+        # the engine's candidate index leaves most of them unvisited; the
+        # reference still scans every ready kernel on every call.
+        dfg, arrivals = streaming_scale_workload(
+            n_kernels=400, mean_interarrival_ms=300.0
+        )
+        assert_identical_runs(
+            {"system": scale_system(), "lookup": lookup},
+            dfg,
+            policy_name,
+            arrivals=arrivals,
+        )
+
     @pytest.mark.parametrize("policy_name", ["apt", "apt_rt", "met", "ag", "heft"])
     def test_streaming_with_noise_equivalence(self, policy_name, lookup):
         dfg, arrivals = streaming_scale_workload(
