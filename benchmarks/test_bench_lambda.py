@@ -9,6 +9,7 @@ import pytest
 
 from benchmarks.conftest import write_artifact
 from repro.core.simulator import Simulator
+from repro.core.system import CPU_GPU_FPGA
 from repro.experiments import figures, tables
 from repro.experiments.report import render_figure, render_table
 from repro.experiments.workloads import paper_suite
@@ -21,7 +22,7 @@ from repro.policies.apt import APT
 )
 def test_bench_lambda_tables(benchmark, runner, results_dir, dfg_type, table_fn, name):
     suite = paper_suite(dfg_type)
-    sim = Simulator(runner.system_for(4.0), runner.lookup)
+    sim = Simulator(CPU_GPU_FPGA(transfer_rate_gbps=4.0), runner.lookup)
     benchmark(lambda: sim.run(suite[1], APT(alpha=4.0)))
 
     t = table_fn(runner=runner)

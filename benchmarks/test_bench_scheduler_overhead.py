@@ -10,6 +10,7 @@ actual decision cost of each policy on the largest evaluation graph
 import pytest
 
 from repro.core.simulator import Simulator
+from repro.core.system import CPU_GPU_FPGA
 from repro.experiments.workloads import paper_type2_suite
 from repro.policies.registry import PAPER_POLICIES, get_policy
 from repro.core.cost import CostModel
@@ -22,7 +23,7 @@ def biggest_graph():
 
 @pytest.mark.parametrize("policy_name", PAPER_POLICIES)
 def test_bench_policy_end_to_end(benchmark, runner, biggest_graph, policy_name):
-    sim = Simulator(runner.system_for(4.0), runner.lookup)
+    sim = Simulator(CPU_GPU_FPGA(transfer_rate_gbps=4.0), runner.lookup)
     policy_kwargs = {"alpha": 4.0} if policy_name == "apt" else {}
 
     def run():
@@ -37,7 +38,7 @@ def test_bench_policy_end_to_end(benchmark, runner, biggest_graph, policy_name):
 def test_bench_static_planning_phase_alone(benchmark, runner, biggest_graph, policy_name):
     """Just the pre-computation (rank/OCT + processor selection) phase."""
     policy = get_policy(policy_name)
-    system = runner.system_for(4.0)
+    system = CPU_GPU_FPGA(transfer_rate_gbps=4.0)
 
     plan = benchmark(
         lambda: policy.plan(biggest_graph, CostModel(system, runner.lookup))

@@ -18,27 +18,21 @@ import os
 import time
 
 from benchmarks.conftest import write_artifact
-from repro.experiments.sweep import (
-    PolicySpec,
-    SweepEngine,
-    SweepSpec,
-    execute_payload,
-)
-
-#: The Tables 8/9 policy lineup (α = 1.5 for APT, as published).
-TABLE_POLICIES = tuple(
-    PolicySpec.of(name, alpha=1.5) if name in ("apt", "apt_rt") else PolicySpec.of(name)
-    for name in ("apt", "met", "spn", "ss", "ag", "heft", "peft")
-)
+from repro.experiments.runner import paper_spec
+from repro.experiments.sweep import PolicySpec, SweepEngine, execute_payload
+from repro.experiments.tables import TABLE_POLICIES
 
 
-def multi_table_spec() -> SweepSpec:
-    """The full Tables 8+9 grid: every policy on both 10-graph suites."""
-    return SweepSpec(policies=TABLE_POLICIES, dfg_types=(1, 2))
+def multi_table_jobs() -> list:
+    """The full Tables 8+9 grid: every policy (α = 1.5 for APT, as
+    published) on both 10-graph suites."""
+    policies = [PolicySpec.at_alpha(name, 1.5) for name in TABLE_POLICIES]
+    specs = [paper_spec(dfg_type, policies) for dfg_type in (1, 2)]
+    return [job for spec in specs for job in spec.jobs()]
 
 
 def test_bench_sweep_parallel_vs_serial(benchmark, local_results_dir):
-    jobs = multi_table_spec().expand()
+    jobs = multi_table_jobs()
     benchmark(lambda: execute_payload(jobs[0].runnable_payload()))
 
     t0 = time.perf_counter()
@@ -90,7 +84,7 @@ def test_bench_warm_cache_simulates_nothing(
     benchmark, local_results_dir, tmp_path_factory
 ):
     cache_dir = tmp_path_factory.mktemp("sweep-cache")
-    jobs = multi_table_spec().expand()
+    jobs = multi_table_jobs()
 
     t0 = time.perf_counter()
     cold_engine = SweepEngine(cache_dir=cache_dir)

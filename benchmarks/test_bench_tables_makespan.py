@@ -10,6 +10,7 @@ import pytest
 
 from benchmarks.conftest import write_artifact
 from repro.core.simulator import Simulator
+from repro.core.system import CPU_GPU_FPGA
 from repro.experiments import figures, tables
 from repro.experiments.report import render_figure, render_table
 from repro.experiments.workloads import paper_type1_suite, paper_type2_suite
@@ -18,7 +19,7 @@ from repro.policies.met import MET
 
 def test_bench_table8_type1_alpha15(benchmark, runner, results_dir):
     suite = paper_type1_suite()
-    sim = Simulator(runner.system_for(4.0), runner.lookup)
+    sim = Simulator(CPU_GPU_FPGA(transfer_rate_gbps=4.0), runner.lookup)
     benchmark(lambda: sim.run(suite[0], MET()))
 
     t = tables.table8(runner=runner)
@@ -30,7 +31,7 @@ def test_bench_table8_type1_alpha15(benchmark, runner, results_dir):
 
 def test_bench_table9_type2_alpha15(benchmark, runner, results_dir):
     suite = paper_type2_suite()
-    sim = Simulator(runner.system_for(4.0), runner.lookup)
+    sim = Simulator(CPU_GPU_FPGA(transfer_rate_gbps=4.0), runner.lookup)
     benchmark(lambda: sim.run(suite[0], MET()))
 
     t = tables.table9(runner=runner)
@@ -46,7 +47,7 @@ def test_bench_table10_type2_alpha4(benchmark, runner, results_dir):
     from repro.policies.apt import APT
 
     suite = paper_type2_suite()
-    sim = Simulator(runner.system_for(4.0), runner.lookup)
+    sim = Simulator(CPU_GPU_FPGA(transfer_rate_gbps=4.0), runner.lookup)
     benchmark(lambda: sim.run(suite[0], APT(alpha=4.0)))
 
     t = tables.table10(runner=runner)

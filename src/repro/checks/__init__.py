@@ -9,7 +9,7 @@ see.  This package machine-checks them *at rest*, before any test runs:
 
 * :mod:`repro.checks.framework` — the rule framework: :class:`Rule` /
   :class:`Finding` visitors over a parsed :class:`Project`, inline
-  ``# checks: ignore[rule-id]`` suppressions and a committed baseline;
+  ``# checks: ignore[rule-id]`` suppressions;
 * :mod:`repro.checks.rules` — the project rule catalog (see
   ``docs/checks.md`` for the rationale per rule);
 * :mod:`repro.checks.gates` — non-AST gates folded into the same
@@ -19,7 +19,6 @@ see.  This package machine-checks them *at rest*, before any test runs:
 """
 
 from repro.checks.framework import (
-    Baseline,
     Finding,
     Module,
     Project,
@@ -31,7 +30,6 @@ from repro.checks.rules import ALL_RULES, get_rule
 
 __all__ = [
     "ALL_RULES",
-    "Baseline",
     "Finding",
     "Module",
     "Project",

@@ -8,24 +8,19 @@ once (``check_project`` — the cross-file invariants: hook conformance,
 event-kind exhaustiveness, the cache-version fingerprint) and yields
 :class:`Finding` records.
 
-Suppression and baselining
---------------------------
+Suppression
+-----------
 * ``# checks: ignore[rule-a,rule-b]`` on the flagged line — or on a
   comment-only line directly above it — suppresses those rules there;
 * ``# checks: ignore-file[rule-a]`` anywhere in a file suppresses the
-  rule for the whole file;
-* a committed :class:`Baseline` JSON file grandfathers counted findings
-  per ``rule:path`` key, so a rule can be introduced before the last
-  legacy finding is burned down.  New findings beyond the baseline
-  count fail; fixed ones surface as stale entries to prune.
+  rule for the whole file.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -37,20 +32,14 @@ _IGNORE_RE = re.compile(r"#\s*checks:\s*ignore(?P<file>-file)?\[(?P<ids>[^\]]+)\
 class Finding:
     """One rule violation at a source location.
 
-    ``path`` is relative to the scanned root (posix form), so baseline
-    keys stay stable across checkouts and scratch copies.
+    ``path`` is relative to the scanned root (posix form), so findings
+    read the same across checkouts and scratch copies.
     """
 
     rule: str
     path: str
     line: int
     message: str
-
-    @property
-    def key(self) -> str:
-        """The baseline bucket: findings move lines freely, so the
-        grandfathering key is (rule, file), not (rule, file, line)."""
-        return f"{self.rule}:{self.path}"
 
     def render(self, root: "Path | None" = None) -> str:
         prefix = f"{root.as_posix()}/" if root else ""
@@ -187,74 +176,30 @@ class Rule:
 
 
 @dataclass
-class Baseline:
-    """Grandfathered finding counts, keyed ``rule:path``."""
-
-    allow: dict[str, int] = field(default_factory=dict)
-
-    @classmethod
-    def load(cls, path: "Path | str") -> "Baseline":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(allow={str(k): int(v) for k, v in data.get("allow", {}).items()})
-
-    def dump(self, path: "Path | str") -> None:
-        payload = {"version": 1, "allow": dict(sorted(self.allow.items()))}
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-    @classmethod
-    def from_findings(cls, findings: Iterable[Finding]) -> "Baseline":
-        allow: dict[str, int] = {}
-        for f in findings:
-            allow[f.key] = allow.get(f.key, 0) + 1
-        return cls(allow=allow)
-
-
-@dataclass
 class CheckReport:
-    """Outcome of one rules run: what fails, what was excused, what's stale."""
+    """Outcome of one rules run: what fails and what was suppressed."""
 
     new: list[Finding]
     suppressed: list[Finding]
-    baselined: list[Finding]
-    stale_baseline: list[str]
 
     @property
     def ok(self) -> bool:
         return not self.new
 
 
-def run_rules(
-    project: Project,
-    rules: Sequence[Rule],
-    baseline: "Baseline | None" = None,
-) -> CheckReport:
-    """Run ``rules`` over ``project``, applying suppressions and baseline."""
+def run_rules(project: Project, rules: Sequence[Rule]) -> CheckReport:
+    """Run ``rules`` over ``project``, applying inline suppressions."""
     new: list[Finding] = []
     suppressed: list[Finding] = []
-    per_key: dict[str, list[Finding]] = {}
     for rule in rules:
         for finding in rule.run(project):
             module = project.module(finding.path)
             if module is not None and module.suppressed(finding.rule, finding.line):
                 suppressed.append(finding)
             else:
-                per_key.setdefault(finding.key, []).append(finding)
-    baselined: list[Finding] = []
-    allow = baseline.allow if baseline is not None else {}
-    for key, found in sorted(per_key.items()):
-        found.sort(key=lambda f: f.line)
-        budget = allow.get(key, 0)
-        baselined.extend(found[:budget])
-        new.extend(found[budget:])
-    stale = sorted(
-        key
-        for key, budget in allow.items()
-        if len(per_key.get(key, ())) < budget
-    )
+                new.append(finding)
     new.sort(key=lambda f: (f.path, f.line, f.rule))
-    return CheckReport(
-        new=new, suppressed=suppressed, baselined=baselined, stale_baseline=stale
-    )
+    return CheckReport(new=new, suppressed=suppressed)
 
 
 # ----------------------------------------------------------------------

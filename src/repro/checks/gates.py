@@ -10,9 +10,6 @@ single static-checks entry point with one output format:
   README.md / ``docs/*.md`` (shared namespace per file, throwaway cwd)
   plus the example scripts in :data:`EXAMPLE_SCRIPTS`, so documentation
   cannot rot silently.
-
-``tools/check_module_size.py`` and ``tools/check_docs.py`` remain as
-thin shims over these functions.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.checks.framework import Baseline, Finding, load_project, run_rules
+from repro.checks.framework import Finding, load_project, run_rules
 from repro.checks.gates import check_docs, check_module_sizes
 from repro.checks.rules import ALL_RULES, get_rule, write_fingerprint
 
@@ -60,16 +60,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         choices=("text", "github"),
         default="text",
         help="finding output format (github = workflow annotations)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        help="baseline JSON path (default: <root>/checks/baseline.json)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the committed baseline (report every finding)",
     )
     parser.add_argument(
         "--update-fingerprint",
@@ -123,8 +113,7 @@ def run(args: argparse.Namespace) -> int:
         return 2
 
     failing: list[Finding] = []
-    suppressed = baselined = 0
-    stale: list[str] = []
+    suppressed = 0
 
     if "rules" in gates:
         project = load_project(root, files=args.files or None)
@@ -139,20 +128,9 @@ def run(args: argparse.Namespace) -> int:
             failing.append(
                 Finding(rule="parse-error", path=relpath, line=1, message=reason)
             )
-        baseline = None
-        if not args.no_baseline:
-            baseline_path = (
-                Path(args.baseline)
-                if args.baseline
-                else root / "checks" / "baseline.json"
-            )
-            if baseline_path.exists():
-                baseline = Baseline.load(baseline_path)
-        report = run_rules(project, rules, baseline=baseline)
+        report = run_rules(project, rules)
         failing += report.new
         suppressed = len(report.suppressed)
-        baselined = len(report.baselined)
-        stale = report.stale_baseline
         print(f"rules: {len(project)} modules x {len(rules)} rules")
 
     if "size" in gates:
@@ -180,12 +158,7 @@ def run(args: argparse.Namespace) -> int:
         else:
             print(finding.render(use_prefix))
 
-    for key in stale:
-        print(f"warning: stale baseline entry {key!r} — prune it", file=sys.stderr)
-
-    excused = ""
-    if suppressed or baselined:
-        excused = f" ({suppressed} suppressed, {baselined} baselined)"
+    excused = f" ({suppressed} suppressed)" if suppressed else ""
     if failing:
         print(f"\n{len(failing)} finding(s){excused}")
         return 1

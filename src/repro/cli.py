@@ -54,10 +54,11 @@ from repro.core.system import CPU_GPU_FPGA
 from repro.data.paper_tables import paper_lookup_table
 from repro.experiments import extensions, figures, tables
 from repro.experiments.report import render_figure, render_table
-from repro.experiments.runner import ExperimentRunner
-from repro.experiments.workloads import DEFAULT_SEED, paper_suite
+from repro.experiments.runner import ExperimentRunner, paper_spec
+from repro.experiments.sweep import PolicySpec
+from repro.experiments.workloads import DEFAULT_SEED
 from repro.graphs.generators import make_type1_dfg, make_type2_dfg
-from repro.policies.registry import PAPER_POLICIES, available_policies, get_policy
+from repro.policies.registry import PAPER_POLICIES, available_policies
 
 _TABLES = {
     "8": tables.table8,
@@ -281,11 +282,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     make = make_type1_dfg if args.dfg_type == 1 else make_type2_dfg
     dfg = make(args.kernels, rng=rng)
-    policy = (
-        get_policy(args.policy, alpha=args.alpha)
-        if args.policy in ("apt", "apt_rt")
-        else get_policy(args.policy)
-    )
+    policy = PolicySpec.at_alpha(args.policy, args.alpha).build()
     system = CPU_GPU_FPGA(transfer_rate_gbps=args.rate)
     result = Simulator(system, paper_lookup_table()).run(dfg, policy)
     m = result.metrics
@@ -323,17 +320,15 @@ def _runner_from_args(args: argparse.Namespace) -> ExperimentRunner:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     runner = _runner_from_args(args)
-    suite = paper_suite(args.dfg_type, args.seed)
-    by_policy = runner.compare_policies(
-        suite, PAPER_POLICIES, rate_gbps=args.rate, apt_alpha=args.alpha
-    )
+    policies = [PolicySpec.at_alpha(name, args.alpha) for name in PAPER_POLICIES]
+    [by_policy] = runner.run([paper_spec(args.dfg_type, policies, args.seed, args.rate)])
     print(
         f"DFG Type-{args.dfg_type}, {args.rate} GB/s, APT alpha={args.alpha} "
-        f"(mean over {len(suite)} graphs)"
+        f"(mean over {len(by_policy[0])} graphs)"
     )
-    for name in PAPER_POLICIES:
-        makespans = [r.makespan for r in by_policy[name]]
-        lams = [r.total_lambda for r in by_policy[name]]
+    for name, records in zip(PAPER_POLICIES, by_policy):
+        makespans = [r.makespan for r in records]
+        lams = [r.total_lambda for r in records]
         print(
             f"  {name.upper():<5s} makespan={runner.mean(makespans):>12,.1f} ms   "
             f"lambda={runner.mean(lams):>12,.1f} ms"

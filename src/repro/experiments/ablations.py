@@ -21,10 +21,9 @@ sweep worker processes reconstruct it.
 from __future__ import annotations
 
 from repro.experiments.report import TableResult
-from repro.experiments.runner import PAPER_ALPHAS, ExperimentRunner
+from repro.experiments.runner import PAPER_ALPHAS, ExperimentRunner, paper_spec
 from repro.experiments.sweep import PolicySpec
-from repro.experiments.workloads import DEFAULT_SEED, paper_suite
-from repro.graphs.dfg import DFG
+from repro.experiments.workloads import DEFAULT_SEED
 from repro.policies.apt import APT
 from repro.policies.base import Assignment, SchedulingContext
 from repro.policies.registry import available_policies, register_policy
@@ -55,13 +54,20 @@ if "apt_longest_first" not in available_policies():  # idempotent on re-import
 _PROVIDER = __name__
 
 
-def _mean_makespan(
-    suite: list[DFG], spec: PolicySpec, runner: ExperimentRunner, rate_gbps: float
-) -> float:
-    records = runner.run_specs(
-        [(i, dfg, spec, rate_gbps) for i, dfg in enumerate(suite)]
+def _mean_makespans(
+    runner: ExperimentRunner,
+    policies: list[PolicySpec],
+    seed: int,
+    rate_gbps: float,
+) -> dict[int, list[float]]:
+    """Per DFG type, the suite-mean makespan of each policy (one batch)."""
+    grids = runner.run(
+        [paper_spec(dfg_type, policies, seed, rate_gbps) for dfg_type in (1, 2)]
     )
-    return runner.mean([r.makespan for r in records])
+    return {
+        dfg_type: [runner.mean([r.makespan for r in recs]) for recs in grid]
+        for dfg_type, grid in zip((1, 2), grids)
+    }
 
 
 def ablate_transfer_term(
@@ -72,25 +78,22 @@ def ablate_transfer_term(
 ) -> TableResult:
     """With vs without the transfer term in APT's threshold test."""
     runner = runner if runner is not None else ExperimentRunner()
+    # note: no explicit include_transfer=True — defaulted params would
+    # change the content hash and miss the cache entries the paper
+    # tables already produced for the identical simulation.
+    policies = [
+        spec
+        for alpha in alphas
+        for spec in (
+            PolicySpec.of("apt", alpha=alpha),
+            PolicySpec.of("apt", alpha=alpha, include_transfer=False),
+        )
+    ]
+    means = _mean_makespans(runner, policies, seed, rate_gbps)
     rows = []
     for dfg_type in (1, 2):
-        suite = paper_suite(dfg_type, seed)
-        for alpha in alphas:
-            # note: no explicit include_transfer=True — defaulted params
-            # would change the content hash and miss the cache entries the
-            # paper tables already produced for the identical simulation.
-            with_t = _mean_makespan(
-                suite,
-                PolicySpec.of("apt", alpha=alpha),
-                runner,
-                rate_gbps,
-            )
-            without_t = _mean_makespan(
-                suite,
-                PolicySpec.of("apt", alpha=alpha, include_transfer=False),
-                runner,
-                rate_gbps,
-            )
+        for pos, alpha in enumerate(alphas):
+            with_t, without_t = means[dfg_type][2 * pos : 2 * pos + 2]
             rows.append((f"Type-{dfg_type}", alpha, with_t, without_t,
                          (without_t - with_t) / with_t * 100.0))
     return TableResult(
@@ -110,18 +113,14 @@ def ablate_queue_discipline(
 ) -> TableResult:
     """FCFS (the paper) vs longest-best-case-first ready-queue order."""
     runner = runner if runner is not None else ExperimentRunner()
+    policies = [
+        PolicySpec.of("apt", alpha=alpha),
+        PolicySpec.of("apt_longest_first", alpha=alpha, provider=_PROVIDER),
+    ]
+    means = _mean_makespans(runner, policies, seed, rate_gbps)
     rows = []
     for dfg_type in (1, 2):
-        suite = paper_suite(dfg_type, seed)
-        fcfs = _mean_makespan(
-            suite, PolicySpec.of("apt", alpha=alpha), runner, rate_gbps
-        )
-        longest = _mean_makespan(
-            suite,
-            PolicySpec.of("apt_longest_first", alpha=alpha, provider=_PROVIDER),
-            runner,
-            rate_gbps,
-        )
+        fcfs, longest = means[dfg_type]
         rows.append((f"Type-{dfg_type}", alpha, fcfs, longest,
                      (longest - fcfs) / fcfs * 100.0))
     return TableResult(
@@ -141,16 +140,16 @@ def ablate_remaining_time(
 ) -> TableResult:
     """APT vs APT-RT (the paper's future-work extension) across α."""
     runner = runner if runner is not None else ExperimentRunner()
+    policies = [
+        spec
+        for alpha in alphas
+        for spec in (PolicySpec.of("apt", alpha=alpha), PolicySpec.of("apt_rt", alpha=alpha))
+    ]
+    means = _mean_makespans(runner, policies, seed, rate_gbps)
     rows = []
     for dfg_type in (1, 2):
-        suite = paper_suite(dfg_type, seed)
-        for alpha in alphas:
-            apt = _mean_makespan(
-                suite, PolicySpec.of("apt", alpha=alpha), runner, rate_gbps
-            )
-            apt_rt = _mean_makespan(
-                suite, PolicySpec.of("apt_rt", alpha=alpha), runner, rate_gbps
-            )
+        for pos, alpha in enumerate(alphas):
+            apt, apt_rt = means[dfg_type][2 * pos : 2 * pos + 2]
             rows.append((f"Type-{dfg_type}", alpha, apt, apt_rt,
                          (apt - apt_rt) / apt * 100.0))
     return TableResult(

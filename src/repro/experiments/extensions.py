@@ -14,54 +14,26 @@ Three studies the paper motivates but does not run:
    efficiency; this study integrates the Table 6 devices' power envelopes
    over each policy's schedules.
 
-Every study submits its whole simulation grid to the shared
-:class:`~repro.experiments.sweep.SweepEngine` in one batch (via the
-runner), so they parallelize across workers and memoize in the result
-cache like the paper tables do.
+Every study (and the heterogeneity and estimation-error studies below)
+describes its grid as scenario specs on the flat platform and submits
+them through the shared :class:`ExperimentRunner` as one engine batch —
+one per β for the heterogeneity sweep — so they parallelize across
+workers and memoize in the result cache like the paper tables do.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.energy import DEFAULT_POWER_MODEL, PowerModel
 from repro.core.lookup import scale_heterogeneity
 from repro.experiments.report import TableResult
-from repro.experiments.runner import ExperimentRunner
-from repro.experiments.sweep import PolicySpec, make_job
-from repro.experiments.workloads import DEFAULT_SEED, paper_suite
-from repro.graphs.generators import PAPER_KERNEL_POPULATION, KernelPopulation
-from repro.graphs.streams import poisson_stream
-from repro.graphs.dfg import DFG
+from repro.experiments.runner import ExperimentRunner, flat_spec, paper_spec
+from repro.experiments.scenarios import WorkloadSpec
+from repro.experiments.sweep import PolicySpec, SimSettings
+from repro.experiments.workloads import DEFAULT_SEED
 
 #: Dynamic policies eligible for online (streaming) scheduling.
 STREAMING_POLICIES = ("apt", "met", "spn", "ss", "ag", "minmin", "maxmin", "sufferage")
 #: The full comparison pool for the extended-policy study.
 EXTENDED_POLICIES = ("apt", "met", "minmin", "maxmin", "sufferage", "cpop", "heft", "peft")
-
-
-def _spec(name: str, apt_alpha: float) -> PolicySpec:
-    """APT variants carry their α; every other policy takes no params."""
-    if name in ("apt", "apt_rt"):
-        return PolicySpec.of(name, alpha=apt_alpha)
-    return PolicySpec.of(name)
-
-
-def _mini_app_factory(
-    population: KernelPopulation = PAPER_KERNEL_POPULATION,
-    kernels_per_app: int = 4,
-):
-    """Small fork-join applications for stream studies."""
-
-    def factory(index: int, rng: np.random.Generator) -> DFG:
-        from repro.graphs.generators import make_fork_join_dfg
-
-        return make_fork_join_dfg(
-            kernels_per_app - 2, rng=rng, population=population,
-            name=f"app{index}",
-        )
-
-    return factory
 
 
 def streaming_load_sweep(
@@ -75,38 +47,34 @@ def streaming_load_sweep(
     """Mean makespan of dynamic policies under rising offered load.
 
     Each column is one Poisson stream intensity (smaller inter-arrival =
-    heavier load); rows are policies.  At light load every sane policy
-    tracks the arrival process; under saturation the placement quality
-    separates them — the regime the paper's threshold targets.
+    heavier load) of small fork-join applications (the
+    ``fork_join_stream`` workload); rows are policies.  At light load
+    every sane policy tracks the arrival process; under saturation the
+    placement quality separates them — the regime the paper's threshold
+    targets.
     """
     runner = runner if runner is not None else ExperimentRunner()
-    streams = {}
-    for mean_ia in mean_interarrivals_ms:
-        streams[mean_ia] = poisson_stream(
-            n_applications,
-            mean_ia,
-            _mini_app_factory(),
-            np.random.default_rng(seed),
-        ).merged(name=f"stream_ia{mean_ia:g}")
-    jobs = []
-    for name in STREAMING_POLICIES:
-        for mean_ia in mean_interarrivals_ms:
-            merged, arrivals = streams[mean_ia]
-            jobs.append(
-                runner.job_for(
-                    merged,
-                    _spec(name, apt_alpha),
-                    rate_gbps,
-                    arrivals=arrivals,
-                    tag={"policy": name, "mean_ia": mean_ia},
-                )
+    policies = [PolicySpec.at_alpha(name, apt_alpha) for name in STREAMING_POLICIES]
+    grids = runner.run(
+        [
+            flat_spec(
+                f"fork_join_stream_ia{mean_ia:g}",
+                WorkloadSpec.of(
+                    "fork_join_stream",
+                    n_applications=n_applications,
+                    mean_interarrival_ms=mean_ia,
+                    seed=seed,
+                ),
+                policies,
+                rate_gbps,
             )
-    results = runner.engine.run_jobs(jobs)
-    n_loads = len(mean_interarrivals_ms)
-    rows = []
-    for pos, name in enumerate(STREAMING_POLICIES):
-        chunk = results[pos * n_loads : (pos + 1) * n_loads]
-        rows.append((name.upper(), *(res.makespan for res in chunk)))
+            for mean_ia in mean_interarrivals_ms
+        ]
+    )
+    rows = [
+        (name.upper(), *(grid[pos][0].makespan for grid in grids))
+        for pos, name in enumerate(STREAMING_POLICIES)
+    ]
     return TableResult(
         title="Extension — streaming (online) load sweep, dynamic policies",
         headers=("Policy",)
@@ -127,15 +95,14 @@ def extended_policy_comparison(
 ) -> TableResult:
     """Mean makespan of the extended policy pool on both paper suites."""
     runner = runner if runner is not None else ExperimentRunner()
-    rows = []
-    for name in EXTENDED_POLICIES:
-        row: list[object] = [name.upper()]
-        for dfg_type in (1, 2):
-            suite = paper_suite(dfg_type, seed)
-            alpha = apt_alpha if name in ("apt", "apt_rt") else None
-            recs = runner.run_suite(suite, name, rate_gbps, alpha)
-            row.append(runner.mean([r.makespan for r in recs]))
-        rows.append(tuple(row))
+    policies = [PolicySpec.at_alpha(name, apt_alpha) for name in EXTENDED_POLICIES]
+    grids = runner.run(
+        [paper_spec(dfg_type, policies, seed, rate_gbps) for dfg_type in (1, 2)]
+    )
+    rows = [
+        (name.upper(), *(runner.mean([r.makespan for r in grid[pos]]) for grid in grids))
+        for pos, name in enumerate(EXTENDED_POLICIES)
+    ]
     return TableResult(
         title="Extension — extended policy pool (mean makespan, ms)",
         headers=("Policy", "DFG Type-1", "DFG Type-2"),
@@ -150,6 +117,7 @@ def heterogeneity_sweep(
     betas: tuple[float, ...] = (0.0, 0.25, 0.5, 1.0, 1.5),
     alphas: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0),
     n_graphs: int = 5,
+    runner: ExperimentRunner | None = None,
 ) -> TableResult:
     """How APT's gain and best α move with the degree of heterogeneity.
 
@@ -167,22 +135,18 @@ def heterogeneity_sweep(
     heterogeneity (β = 1.5) waiting is simply optimal, so APT's best move
     is to mimic MET.
     """
-    from repro.data.paper_tables import paper_lookup_table
-
-    base = paper_lookup_table()
-    suite = paper_suite(2, seed)[:n_graphs]
+    runner = runner if runner is not None else ExperimentRunner()
+    policies = [PolicySpec.of("met"), *(PolicySpec.of("apt", alpha=a) for a in alphas)]
+    spec = paper_spec(2, policies, seed, rate_gbps, n_graphs=n_graphs)
     rows = []
     for beta in betas:
-        table = scale_heterogeneity(base, beta)
-        runner = ExperimentRunner(lookup=table)
-        met = runner.mean(
-            [r.makespan for r in runner.run_suite(suite, "met", rate_gbps)]
-        )
+        # one batch per β: each cell prices the suite with its own table
+        table = scale_heterogeneity(runner.lookup, beta)
+        [[met_records, *apt_records]] = runner.run([spec], lookup=table)
+        met = runner.mean([r.makespan for r in met_records])
         by_alpha = {
-            alpha: runner.mean(
-                [r.makespan for r in runner.run_suite(suite, "apt", rate_gbps, alpha)]
-            )
-            for alpha in alphas
+            alpha: runner.mean([r.makespan for r in records])
+            for alpha, records in zip(alphas, apt_records)
         }
         best_alpha = min(by_alpha, key=lambda a: by_alpha[a])
         rows.append(
@@ -222,29 +186,33 @@ def estimation_error_robustness(
     the comparison isolates decision quality under estimation error.
     """
     runner = runner if runner is not None else ExperimentRunner()
-    suite = paper_suite(2, seed)[:n_graphs]
-    grid = [
+    policies = [PolicySpec.of("apt", alpha=apt_alpha), PolicySpec.of("met")]
+    cells = [
         (sigma, noise_seed)
         for sigma in sigmas
         for noise_seed in range(n_noise_seeds)
     ]
-    jobs = []
-    for sigma, noise_seed in grid:
-        settings = runner.settings(exec_noise_sigma=sigma, noise_seed=noise_seed)
-        for dfg in suite:
-            for spec in (PolicySpec.of("apt", alpha=apt_alpha), PolicySpec.of("met")):
-                jobs.append(runner.job_for(dfg, spec, rate_gbps, settings=settings))
-    results = runner.engine.run_jobs(jobs)
-    per_cell = 2 * len(suite)
+    grids = runner.run(
+        [
+            paper_spec(
+                2,
+                policies,
+                seed,
+                rate_gbps,
+                n_graphs=n_graphs,
+                settings=SimSettings(exec_noise_sigma=sigma, noise_seed=noise_seed),
+            )
+            for sigma, noise_seed in cells
+        ]
+    )
     rows = []
     for sigma in sigmas:
         apt_total, met_total = 0.0, 0.0
-        for pos, (s, _) in enumerate(grid):
+        for (s, _), (apt, met) in zip(cells, grids):
             if s != sigma:
                 continue
-            chunk = results[pos * per_cell : (pos + 1) * per_cell]
-            apt_total += sum(r.makespan for r in chunk[0::2])
-            met_total += sum(r.makespan for r in chunk[1::2])
+            apt_total += sum(r.makespan for r in apt)
+            met_total += sum(r.makespan for r in met)
         rows.append(
             (
                 sigma,
@@ -270,30 +238,15 @@ def energy_comparison(
     rate_gbps: float = 4.0,
     dfg_type: int = 2,
     apt_alpha: float = 4.0,
-    power_model: PowerModel = DEFAULT_POWER_MODEL,
     policies: tuple[str, ...] = ("apt", "met", "spn", "heft", "peft"),
 ) -> TableResult:
     """Total energy and energy-delay product per policy over a suite."""
     runner = runner if runner is not None else ExperimentRunner()
-    suite = paper_suite(dfg_type, seed)
-    jobs = [
-        make_job(
-            dfg,
-            _spec(name, apt_alpha),
-            runner.system_for(rate_gbps),
-            runner.lookup,
-            settings=runner.settings(),
-            power_model=power_model,
-            tag={"policy": name},
-        )
-        for name in policies
-        for dfg in suite
-    ]
-    results = runner.engine.run_jobs(jobs)
-    n = len(suite)
+    specs = [PolicySpec.at_alpha(name, apt_alpha) for name in policies]
+    [grid] = runner.run([paper_spec(dfg_type, specs, seed, rate_gbps)])
     rows = []
-    for pos, name in enumerate(policies):
-        chunk = results[pos * n : (pos + 1) * n]
+    for name, chunk in zip(policies, grid):
+        n = len(chunk)
         rows.append(
             (
                 name.upper(),

@@ -18,8 +18,10 @@ from repro.experiments.runner import (
     PAPER_ALPHAS,
     PAPER_RATES_GBPS,
     ExperimentRunner,
+    paper_spec,
 )
-from repro.experiments.workloads import DEFAULT_SEED, paper_suite
+from repro.experiments.sweep import PolicySpec
+from repro.experiments.workloads import DEFAULT_SEED
 from repro.graphs.dfg import DFG
 from repro.policies.apt import APT
 from repro.policies.met import MET
@@ -78,13 +80,11 @@ def _top4_figure(
     rate_gbps: float,
 ) -> FigureResult:
     runner = runner if runner is not None else ExperimentRunner()
-    suite = paper_suite(dfg_type, seed)
-    by_policy = runner.compare_policies(
-        suite, TOP4_POLICIES, rate_gbps=rate_gbps, apt_alpha=apt_alpha
-    )
+    policies = [PolicySpec.at_alpha(name, apt_alpha) for name in TOP4_POLICIES]
+    [by_policy] = runner.run([paper_spec(dfg_type, policies, seed, rate_gbps)])
     means = {
         name.upper(): (runner.mean([r.makespan for r in recs]),)
-        for name, recs in by_policy.items()
+        for name, recs in zip(TOP4_POLICIES, by_policy)
     }
     return FigureResult(
         title=title,
@@ -137,20 +137,14 @@ def _alpha_rate_figure(
     rates: tuple[float, ...],
 ) -> FigureResult:
     runner = runner if runner is not None else ExperimentRunner()
-    suite = paper_suite(dfg_type, seed)
-    sweep = runner.alpha_sweep(suite, alphas=alphas, rates=rates)
-    series: dict[str, tuple[float, ...]] = {}
-    for rate in rates:
-        values = []
-        for alpha in alphas:
-            recs = sweep[(alpha, rate)]
-            vals = (
-                [r.makespan for r in recs]
-                if metric == "makespan"
-                else [r.total_lambda for r in recs]
-            )
-            values.append(runner.mean(vals))
-        series[f"{rate:g} GBps"] = tuple(values)
+    apts = [PolicySpec.of("apt", alpha=alpha) for alpha in alphas]
+    grids = runner.run([paper_spec(dfg_type, apts, seed, rate) for rate in rates])
+    series = {
+        f"{rate:g} GBps": tuple(
+            runner.mean([getattr(r, metric) for r in recs]) for recs in grid
+        )
+        for rate, grid in zip(rates, grids)
+    }
     return FigureResult(
         title=title,
         x_label="alpha",
@@ -205,16 +199,15 @@ def figure10_apt_vs_met(
 ) -> FigureResult:
     """Figures 8/10 (per-experiment): APT(α=4) vs MET makespans per graph."""
     runner = runner if runner is not None else ExperimentRunner()
-    suite = paper_suite(dfg_type, seed)
-    apt = runner.run_suite(suite, "apt", rate_gbps, alpha)
-    met = runner.run_suite(suite, "met", rate_gbps)
+    policies = [PolicySpec.of("apt", alpha=alpha), PolicySpec.of("met")]
+    [[apt, met]] = runner.run([paper_spec(dfg_type, policies, seed, rate_gbps)])
     return FigureResult(
         title=(
             f"Figure 10 — Execution time per experiment, MET vs APT (α={alpha}), "
             f"DFG Type-{dfg_type}"
         ),
         x_label="experiment",
-        x_values=tuple(range(1, len(suite) + 1)),
+        x_values=tuple(range(1, len(apt) + 1)),
         series={
             "APT": tuple(r.makespan for r in apt),
             "MET": tuple(r.makespan for r in met),
@@ -233,7 +226,7 @@ def figure11(
     return _alpha_rate_figure(
         "Figure 11 — APT avg λ delay vs α and transfer rate, DFG Type-1",
         dfg_type=1,
-        metric="lambda",
+        metric="total_lambda",
         runner=runner,
         seed=seed,
         alphas=alphas,
@@ -251,7 +244,7 @@ def figure12(
     return _alpha_rate_figure(
         "Figure 12 — APT avg λ delay vs α and transfer rate, DFG Type-2",
         dfg_type=2,
-        metric="lambda",
+        metric="total_lambda",
         runner=runner,
         seed=seed,
         alphas=alphas,

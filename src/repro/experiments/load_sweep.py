@@ -9,11 +9,12 @@ as λ approaches the service capacity, queueing dominates and placement
 quality separates the policies; past saturation the backlog — and with
 it response time — grows without bound over the finite stream.
 
-Every (rate, policy) cell is one :class:`~repro.experiments.sweep.
-SweepJob` carrying the stream's app spans and declarative source
-description, executed through the shared cached engine — so a re-run
-with one new rate only simulates that rate, and curves are bit-stable
-across runs and processes.
+Each rate is one :class:`~repro.experiments.scenarios.ScenarioSpec`
+over the ``open_system`` workload, and each (rate, policy) cell one of
+its jobs, carrying the stream's app spans and declarative source
+description.  All cells run as one batch through the shared cached
+engine — so a re-run with one new rate only simulates that rate, and
+curves are bit-stable across runs and processes.
 
 The CLI front-end is ``apt-sched load-sweep`` (results under
 ``results/load_sweep_*.txt``); ``examples/open_system_saturation.py``
@@ -27,20 +28,16 @@ from typing import Sequence
 
 from repro.core.lookup import LookupTable
 from repro.core.system import SystemConfig
-from repro.data.paper_tables import paper_lookup_table
 from repro.experiments.report import TableResult
+from repro.experiments.scenarios import ScenarioSpec, WorkloadSpec
 from repro.experiments.sweep import (
     JobResult,
     PolicySpec,
     SimSettings,
     SweepEngine,
-    make_job,
+    system_to_dict,
 )
-from repro.experiments.workloads import (
-    DEFAULT_SEED,
-    build_workload,
-    scale_system,
-)
+from repro.experiments.workloads import DEFAULT_SEED, scale_system
 
 #: Default λ grid (applications per second): light load through past the
 #: 12-processor scale platform's saturation point.
@@ -156,25 +153,17 @@ def load_sweep(
         raise ValueError("need at least one arrival rate")
     if any(r <= 0 for r in rates_per_s):
         raise ValueError("arrival rates must be positive")
-    specs: dict[str, PolicySpec] = {}
-    for name in policies:
-        spec = (
-            PolicySpec.of(name, alpha=apt_alpha)
-            if name in ("apt", "apt_rt")
-            else PolicySpec.of(name)
-        )
+    specs = [PolicySpec.at_alpha(name, apt_alpha) for name in policies]
+    for name, spec in zip(policies, specs):
         if not spec.build().is_dynamic:
             raise ValueError(
                 f"load_sweep takes dynamic policies only; {name!r} is static "
                 "(it would plan with clairvoyant knowledge of the stream)"
             )
-        specs[name] = spec
-    system = system if system is not None else scale_system()
-    lookup = lookup if lookup is not None else paper_lookup_table()
+    platform = system_to_dict(system if system is not None else scale_system())
     engine = engine if engine is not None else SweepEngine()
 
-    jobs = []
-    cells = []
+    scenarios = []
     for rate in rates_per_s:
         mean_ia = 1000.0 / rate
         profile_params: dict[str, object]
@@ -195,38 +184,34 @@ def load_sweep(
             }
         else:
             raise ValueError(f"unknown load-sweep profile {profile!r}")
-        # one builder for merged DFG + arrivals + spans + source
-        # descriptor — the same unit (and therefore the same cache keys)
-        # the `open_system` scenario workloads produce
-        unit = build_workload(
-            "open_system",
-            n_applications=n_applications,
-            seed=seed,
-            profile=profile,
-            min_kernels=min_kernels,
-            max_kernels=max_kernels,
-            **profile_params,
-        )[0]
-        for name in policies:
-            jobs.append(
-                make_job(
-                    unit.dfg,
-                    specs[name],
-                    system,
-                    lookup,
-                    settings=settings,
-                    arrivals=unit.arrivals,
-                    app_spans=unit.app_spans,
-                    source=unit.source,
-                    tag={"policy": name, "rate_per_s": rate},
-                )
+        # the same workload (and therefore the same cache keys) the
+        # `open_system` scenarios produce
+        scenarios.append(
+            ScenarioSpec(
+                name=f"load_sweep_{profile}_{rate:g}",
+                description=f"{profile} arrivals at λ={rate:g} apps/s",
+                system=platform,
+                workload=WorkloadSpec.of(
+                    "open_system",
+                    n_applications=n_applications,
+                    seed=seed,
+                    profile=profile,
+                    min_kernels=min_kernels,
+                    max_kernels=max_kernels,
+                    **profile_params,
+                ),
+                policies=tuple(specs),
+                settings=settings,
             )
-            cells.append((name, rate, mean_ia))
+        )
 
-    results = engine.run_jobs(jobs)
+    results = engine.run_jobs([job for spec in scenarios for job in spec.jobs(lookup)])
+    cells = [(name, rate) for rate in rates_per_s for name in policies]
     points = tuple(
-        LoadPoint(policy=name, rate_per_s=rate, mean_interarrival_ms=ia, result=res)
-        for (name, rate, ia), res in zip(cells, results)
+        LoadPoint(
+            policy=name, rate_per_s=rate, mean_interarrival_ms=1000.0 / rate, result=res
+        )
+        for (name, rate), res in zip(cells, results)
     )
     return LoadSweepResult(
         profile=profile,

@@ -1,42 +1,45 @@
-"""Experiment runner: sweeps of policy × graph × α × transfer rate.
+"""Experiment runner: the paper's accounting over scenario grids.
 
-One :class:`ExperimentRunner` owns a lookup table and simulation settings
-and produces flat :class:`RunRecord` rows that the table/figure
-reproducers aggregate.  Since the paper's tables reuse the same runs many
-times (e.g. MET appears in Tables 8–13), results are memoized at two
-levels:
+Every table, figure, ablation and extension study describes its
+simulations as a list of :class:`~repro.experiments.scenarios.
+ScenarioSpec` items on the paper's flat ``CPU_GPU_FPGA(rate)`` platform
+(:func:`flat_spec`, :func:`paper_spec`): one spec per transfer rate,
+β or noise cell, with APT at each α just more policies of the same
+spec.  :meth:`ExperimentRunner.run` expands them through
+``ScenarioSpec.jobs`` and submits every job as one
+:class:`~repro.experiments.sweep.SweepEngine` batch, so a multi-worker
+runner parallelizes a whole artifact while staying bit-identical to a
+serial run (the simulator's determinism guarantee; asserted in
+``tests/test_sweep.py``).
 
-* an in-memory record memo per runner (same object returned twice), and
-* the :class:`~repro.experiments.sweep.SweepEngine` beneath it, which
-  adds an optional on-disk JSON cache keyed by a content hash of
-  (DFG, system, lookup table, policy config, simulation settings) and a
-  ``multiprocessing`` worker pool for parallel sweeps.
-
-Suite-level calls (:meth:`ExperimentRunner.run_suite`,
-:meth:`compare_policies`, :meth:`alpha_sweep`) submit their whole grid to
-the engine in one batch, so a multi-worker runner parallelizes them
-across processes while staying bit-identical to a serial run (the
-simulator's determinism guarantee; asserted in ``tests/test_sweep.py``).
+On top of the engine's cache the runner keeps the paper-experiment
+conventions: it turns each :class:`~repro.experiments.sweep.JobResult`
+into a flat :class:`RunRecord` row, charges static-planning overhead
+*after* cache retrieval (so runners with different accounting share
+cached raw results), and memoizes records, so a run the paper's tables
+reuse (MET appears in Tables 8–13) returns the same object twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from repro.core.lookup import LookupTable
-from repro.core.system import CPU_GPU_FPGA, SystemConfig
+from repro.core.system import CPU_GPU_FPGA
 from repro.data.paper_tables import paper_lookup_table
+from repro.experiments.scenarios import ScenarioSpec, WorkloadSpec
 from repro.experiments.sweep import (
     JobResult,
     PolicySpec,
     SimSettings,
     SweepEngine,
     SweepJob,
-    make_job,
+    system_to_dict,
 )
-from repro.graphs.dfg import DFG
+from repro.experiments.workloads import DEFAULT_SEED
 from repro.policies.base import StaticPolicy
 
 #: Transfer rates of the evaluation: PCIe 2.0 ×8 and ×16 (§3.2).
@@ -65,15 +68,57 @@ class RunRecord:
     energy_delay_product: float = 0.0
 
 
+def flat_spec(
+    name: str,
+    workload: WorkloadSpec,
+    policies: Iterable[PolicySpec],
+    rate_gbps: float = 4.0,
+    settings: SimSettings = SimSettings(),
+) -> ScenarioSpec:
+    """``workload`` under ``policies`` on the paper's flat CPU+GPU+FPGA
+    platform with ``rate_gbps`` links."""
+    return ScenarioSpec(
+        name=name,
+        description=(
+            f"{workload.kind} on the flat CPU+GPU+FPGA platform, "
+            f"{rate_gbps:g} GB/s links"
+        ),
+        system=system_to_dict(CPU_GPU_FPGA(transfer_rate_gbps=rate_gbps)),
+        workload=workload,
+        policies=tuple(policies),
+        settings=settings,
+    )
+
+
+def paper_spec(
+    dfg_type: int,
+    policies: Iterable[PolicySpec],
+    seed: int = DEFAULT_SEED,
+    rate_gbps: float = 4.0,
+    n_graphs: int | None = None,
+    settings: SimSettings = SimSettings(),
+) -> ScenarioSpec:
+    """The seeded Type-``dfg_type`` evaluation suite (optionally its first
+    ``n_graphs`` graphs) on the flat platform."""
+    params: dict[str, object] = {"dfg_type": dfg_type, "seed": seed}
+    if n_graphs is not None:
+        params["n_graphs"] = n_graphs
+    return flat_spec(
+        f"paper_type{dfg_type}_{rate_gbps:g}gbps",
+        WorkloadSpec.of("paper_suite", **params),
+        policies,
+        rate_gbps,
+        settings,
+    )
+
+
 class ExperimentRunner:
-    """Runs policies over graph suites with the paper's simulation setup.
+    """Runs scenario grids with the paper's simulation accounting.
 
     Parameters
     ----------
     lookup:
         Execution-time table (default: the paper's Table 14).
-    element_size:
-        Bytes per element for transfers (default 4).
     static_planning_overhead_per_kernel_ms:
         Optional cost charged to *static* policies' makespan and λ for
         their pre-computation phase.  The paper argues HEFT/PEFT's
@@ -83,7 +128,7 @@ class ExperimentRunner:
         flips that ordering (see docs/architecture.md).  Set this to model the
         paper's accounting.
     workers:
-        Worker-pool size for suite-level sweeps.  ``1`` (default) runs
+        Worker-pool size for the engine batches.  ``1`` (default) runs
         serially in-process; ``None``/``0`` uses every core.
     cache_dir:
         Optional directory for the persistent on-disk result cache; runs
@@ -97,62 +142,51 @@ class ExperimentRunner:
     def __init__(
         self,
         lookup: LookupTable | None = None,
-        element_size: int = 4,
         static_planning_overhead_per_kernel_ms: float = 0.0,
         workers: int | None = 1,
         cache_dir: str | Path | None = None,
         use_cache: bool = True,
     ) -> None:
         self.lookup = lookup if lookup is not None else paper_lookup_table()
-        self.element_size = element_size
         self.static_overhead = float(static_planning_overhead_per_kernel_ms)
         self.engine = SweepEngine(workers=workers, cache_dir=cache_dir, use_cache=use_cache)
         self._cache: dict[tuple, RunRecord] = {}
         self._is_static: dict[PolicySpec, bool] = {}
 
-    # ------------------------------------------------------------------
-    def system_for(self, rate_gbps: float) -> SystemConfig:
-        return CPU_GPU_FPGA(transfer_rate_gbps=rate_gbps)
+    def run(
+        self, specs: Sequence[ScenarioSpec], lookup: LookupTable | None = None
+    ) -> list[list[list[RunRecord]]]:
+        """Run every job of ``specs`` as one engine batch.
 
-    def settings(self, **overrides: object) -> SimSettings:
-        """This runner's simulation settings, with optional overrides."""
-        base = SimSettings(element_size=self.element_size)
-        return SimSettings(**{**base.to_dict(), **overrides})  # type: ignore[arg-type]
+        Returns one grid per spec: a list of records per policy, in the
+        spec's policy order, each in workload-unit (graph) order.
+        ``lookup`` overrides the runner's table for this batch.
 
-    def spec_for(self, policy_name: str, alpha: float | None = None) -> PolicySpec:
-        """A :class:`PolicySpec` matching the legacy (name, α) convention."""
-        if alpha is not None:
-            return PolicySpec.of(policy_name, alpha=alpha)
-        return PolicySpec.of(policy_name)
-
-    def job_for(
-        self,
-        dfg: DFG,
-        spec: PolicySpec,
-        rate_gbps: float,
-        settings: SimSettings | None = None,
-        arrivals: Mapping[int, float] | None = None,
-        tag: Mapping[str, object] | None = None,
-        system: SystemConfig | None = None,
-    ) -> SweepJob:
-        """A fully serialized engine job with this runner's defaults.
-
-        ``system`` overrides the default flat platform — the hook for
-        topology-shaped systems (scenarios build theirs from
-        :class:`~repro.experiments.scenarios.ScenarioSpec`); ``rate_gbps``
-        is then ignored.
+        Repeated jobs return the identical memoized :class:`RunRecord`.
+        The memo is keyed by the job's *content hash* (plus the graph
+        index), never by graph name — suites that reuse names across
+        seeds can share a runner safely.
         """
-        return make_job(
-            dfg,
-            spec,
-            system if system is not None else self.system_for(rate_gbps),
-            self.lookup,
-            settings=settings if settings is not None else self.settings(),
-            arrivals=arrivals,
-            tag=tag,
-        )
+        lookup = lookup if lookup is not None else self.lookup
+        expanded = [spec.jobs(lookup) for spec in specs]
+        jobs = [job for spec_jobs in expanded for job in spec_jobs]
+        keys = [(job.tag["graph_index"], job.content_hash()) for job in jobs]
+        # within-batch dedupe: the engine also dedupes by content hash,
+        # but skipping duplicate conversions is cheaper.
+        fresh: dict[tuple, SweepJob] = {}
+        for key, job in zip(keys, jobs):
+            if key not in self._cache:
+                fresh.setdefault(key, job)
+        if fresh:
+            results = self.engine.run_jobs(list(fresh.values()))
+            for (key, job), result in zip(fresh.items(), results):
+                self._cache[key] = self._to_record(job, result)
+        records = iter([self._cache[key] for key in keys])
+        return [
+            [list(islice(records, len(spec_jobs) // len(spec.policies))) for _ in spec.policies]
+            for spec, spec_jobs in zip(specs, expanded)
+        ]
 
-    # ------------------------------------------------------------------
     def _charges_overhead(self, spec: PolicySpec) -> bool:
         if self.static_overhead == 0.0:
             return False
@@ -160,21 +194,19 @@ class ExperimentRunner:
             self._is_static[spec] = isinstance(spec.build(), StaticPolicy)
         return self._is_static[spec]
 
-    def _to_record(
-        self, graph_index: int, spec: PolicySpec, rate_gbps: float, result: JobResult
-    ) -> RunRecord:
+    def _to_record(self, job: SweepJob, result: JobResult) -> RunRecord:
         overhead = (
             self.static_overhead * result.n_kernels
-            if self._charges_overhead(spec)
+            if self._charges_overhead(job.policy)
             else 0.0
         )
         return RunRecord(
-            graph_index=graph_index,
+            graph_index=int(job.tag["graph_index"]),  # type: ignore[call-overload]
             graph_name=result.dfg_name,
             n_kernels=result.n_kernels,
-            policy=spec.name,
-            alpha=spec.alpha,
-            rate_gbps=rate_gbps,
+            policy=job.policy.name,
+            alpha=job.policy.alpha,
+            rate_gbps=float(job.system["rate_gbps"]),  # type: ignore[arg-type]
             makespan=result.makespan + overhead,
             total_lambda=result.total_lambda + overhead,
             avg_lambda=result.avg_lambda,
@@ -184,122 +216,6 @@ class ExperimentRunner:
             energy_joules=result.energy_joules,
             energy_delay_product=result.energy_delay_product,
         )
-
-    def run_specs(
-        self, items: Sequence[tuple[int, DFG, PolicySpec, float]]
-    ) -> list[RunRecord]:
-        """Run a batch of (graph_index, dfg, policy spec, rate) items.
-
-        The whole batch is submitted to the sweep engine at once, so a
-        multi-worker runner simulates the non-memoized items in parallel.
-        Results come back in request order; repeated items return the
-        identical memoized :class:`RunRecord` object.
-
-        The record memo is keyed by the job's *content hash* (plus the
-        requested graph index), never by graph name — two suites that
-        reuse names across seeds can share a runner safely.
-        """
-        jobs = [
-            self.job_for(dfg, spec, rate, tag={"graph_index": index})
-            for index, dfg, spec, rate in items
-        ]
-        keys = [
-            (index, job.content_hash())
-            for (index, _, _, _), job in zip(items, jobs)
-        ]
-        # within-batch dedupe: the engine also dedupes by content hash,
-        # but skipping duplicate conversions is cheaper.
-        unique: dict[tuple, tuple[SweepJob, PolicySpec, float]] = {}
-        for key, job, (_, _, spec, rate) in zip(keys, jobs, items):
-            if key not in self._cache:
-                unique.setdefault(key, (job, spec, rate))
-        if unique:
-            ordered = list(unique.items())
-            results = self.engine.run_jobs([job for _, (job, _, _) in ordered])
-            for (key, (_, spec, rate)), result in zip(ordered, results):
-                self._cache[key] = self._to_record(key[0], spec, rate, result)
-        return [self._cache[key] for key in keys]
-
-    def run_one(
-        self,
-        graph_index: int,
-        dfg: DFG,
-        policy_name: str,
-        rate_gbps: float,
-        alpha: float | None = None,
-    ) -> RunRecord:
-        """Simulate one graph under one policy configuration (memoized)."""
-        spec = self.spec_for(policy_name, alpha)
-        return self.run_specs([(graph_index, dfg, spec, rate_gbps)])[0]
-
-    # ------------------------------------------------------------------
-    def run_suite(
-        self,
-        suite: Sequence[DFG],
-        policy_name: str,
-        rate_gbps: float = 4.0,
-        alpha: float | None = None,
-    ) -> list[RunRecord]:
-        """One policy across a whole graph suite (one engine batch)."""
-        spec = self.spec_for(policy_name, alpha)
-        return self.run_specs(
-            [(i, dfg, spec, rate_gbps) for i, dfg in enumerate(suite)]
-        )
-
-    def compare_policies(
-        self,
-        suite: Sequence[DFG],
-        policy_names: Iterable[str],
-        rate_gbps: float = 4.0,
-        apt_alpha: float = 1.5,
-    ) -> dict[str, list[RunRecord]]:
-        """All requested policies across a suite; APT variants get ``apt_alpha``.
-
-        The full policy × graph grid is one engine batch, so every
-        simulation can run in parallel.
-        """
-        names = list(policy_names)
-        items: list[tuple[int, DFG, PolicySpec, float]] = []
-        for name in names:
-            alpha = apt_alpha if name in ("apt", "apt_rt") else None
-            spec = self.spec_for(name, alpha)
-            items += [(i, dfg, spec, rate_gbps) for i, dfg in enumerate(suite)]
-        records = self.run_specs(items)
-        out: dict[str, list[RunRecord]] = {}
-        for pos, name in enumerate(names):
-            out[name] = records[pos * len(suite) : (pos + 1) * len(suite)]
-        return out
-
-    def alpha_sweep(
-        self,
-        suite: Sequence[DFG],
-        alphas: Sequence[float] = PAPER_ALPHAS,
-        rates: Sequence[float] = PAPER_RATES_GBPS,
-        policy_name: str = "apt",
-    ) -> dict[tuple[float, float], list[RunRecord]]:
-        """APT (or a variant) across α × transfer-rate combinations.
-
-        The α × rate × graph grid is one engine batch.
-        """
-        grid = [(alpha, rate) for alpha in alphas for rate in rates]
-        items: list[tuple[int, DFG, PolicySpec, float]] = []
-        for alpha, rate in grid:
-            spec = self.spec_for(policy_name, alpha)
-            items += [(i, dfg, spec, rate) for i, dfg in enumerate(suite)]
-        records = self.run_specs(items)
-        return {
-            pair: records[pos * len(suite) : (pos + 1) * len(suite)]
-            for pos, pair in enumerate(grid)
-        }
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def makespans(records: Sequence[RunRecord]) -> list[float]:
-        return [r.makespan for r in records]
-
-    @staticmethod
-    def lambdas(records: Sequence[RunRecord]) -> list[float]:
-        return [r.total_lambda for r in records]
 
     @staticmethod
     def mean(values: Sequence[float]) -> float:

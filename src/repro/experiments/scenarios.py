@@ -21,6 +21,7 @@ Authoring guide with a topology cookbook: ``docs/scenarios.md``.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -46,7 +47,7 @@ from repro.experiments.sweep import (
     system_from_dict,
     system_to_dict,
 )
-from repro.experiments.workloads import DEFAULT_SEED, build_workload
+from repro.experiments.workloads import DEFAULT_SEED, WORKLOAD_KINDS, build_workload
 
 
 @dataclass(frozen=True)
@@ -57,10 +58,26 @@ class WorkloadSpec:
     ``params`` is a sorted tuple of (key, value) pairs so specs are
     order-insensitive and JSON-stable (the same convention as
     :class:`~repro.experiments.sweep.PolicySpec`).
+
+    Construction rejects a kind that is not registered (``ValueError``)
+    and parameters its builder's signature cannot bind (``TypeError``),
+    so a bad spec fails where it enters, not when it is expanded.
     """
 
     kind: str
     params: tuple[tuple[str, object], ...] = ()
+
+    def __post_init__(self) -> None:
+        builder = WORKLOAD_KINDS.get(self.kind)
+        if builder is None:
+            raise ValueError(
+                f"unknown workload kind {self.kind!r}; "
+                f"available: {sorted(WORKLOAD_KINDS)}"
+            )
+        try:
+            inspect.signature(builder).bind(**dict(self.params))
+        except TypeError as exc:
+            raise TypeError(f"workload {self.kind!r}: {exc}") from None
 
     @classmethod
     def of(cls, kind: str, **params: object) -> "WorkloadSpec":

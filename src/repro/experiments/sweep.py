@@ -7,8 +7,8 @@ turns that unit into a first-class, serializable **job** and provides
 
 * :class:`SweepJob` — a self-contained job description (DFG, system,
   lookup table, policy configuration, simulation settings, optional
-  arrival times and power model) that can be shipped to a worker
-  process and hashed for caching;
+  arrival times) that can be shipped to a worker process and hashed
+  for caching;
 * :class:`JobResult` — the flattened numeric outcome of one job
   (makespan, λ statistics, alternative-assignment counts, energy);
 * :class:`ResultCache` — an on-disk JSON store keyed by the job's
@@ -18,9 +18,12 @@ turns that unit into a first-class, serializable **job** and provides
   execution backends; the pool backend fans jobs out over a
   ``multiprocessing`` worker pool;
 * :class:`SweepEngine` — orchestration: dedupe → cache lookup →
-  execute missing jobs → write back, preserving request order;
-* :class:`SweepSpec` — a declarative policy × workload × system ×
-  seed grid that expands into jobs.
+  execute missing jobs → write back, preserving request order.
+
+Jobs are described declaratively one level up: every experiment is a
+:class:`~repro.experiments.scenarios.ScenarioSpec`, and
+``ScenarioSpec.jobs`` is the one place that builds jobs (through
+:func:`make_job`).
 
 Determinism contract
 --------------------
@@ -163,6 +166,14 @@ class PolicySpec:
     def of(cls, name: str, *, provider: str | None = None, **params: object) -> "PolicySpec":
         return cls(name=name, params=tuple(sorted(params.items())), provider=provider)
 
+    @classmethod
+    def at_alpha(cls, name: str, alpha: float) -> "PolicySpec":
+        """``name`` at APT threshold ``alpha``: the APT variants carry it,
+        every other policy takes no parameters."""
+        if name in ("apt", "apt_rt"):
+            return cls.of(name, alpha=alpha)
+        return cls.of(name)
+
     @property
     def alpha(self) -> float | None:
         """The APT threshold multiplier, if this spec carries one."""
@@ -268,7 +279,6 @@ class SweepJob:
     policy: PolicySpec
     settings: SimSettings = SimSettings()
     arrivals: dict[int, float] | None = None
-    power_model: dict[str, object] | None = None
     tag: dict[str, object] = field(default_factory=dict)
     lookup_interpolate: bool = True
     #: per-application kernel-id blocks ``[arrival_ms, kid_lo, kid_hi]``;
@@ -305,9 +315,9 @@ class SweepJob:
                 if self.arrivals
                 else None
             ),
-            "power_model": self.power_model
-            if self.power_model is not None
-            else power_model_to_dict(DEFAULT_POWER_MODEL),
+            # every job prices energy with the default model; naming it
+            # here keeps the cache keys of every stored result
+            "power_model": power_model_to_dict(DEFAULT_POWER_MODEL),
             "app_spans": self.app_spans,
             "source": self.source,
             "dynamics": self.dynamics,
@@ -399,7 +409,6 @@ def make_job(
     lookup: LookupTable,
     settings: SimSettings = SimSettings(),
     arrivals: Mapping[int, float] | None = None,
-    power_model: PowerModel | None = None,
     tag: Mapping[str, object] | None = None,
     app_spans: "Sequence[AppSpan] | None" = None,
     source: Mapping[str, object] | None = None,
@@ -414,7 +423,6 @@ def make_job(
         policy=policy,
         settings=settings,
         arrivals=dict(arrivals) if arrivals else None,
-        power_model=power_model_to_dict(power_model) if power_model is not None else None,
         tag=dict(tag) if tag else {},
         lookup_interpolate=lookup.interpolate,
         lookup_digest=digest,
@@ -998,65 +1006,6 @@ class SweepEngine:
                         self.disk.put(key, record)
         return [resolved[key] for key in hashes]
 
-    def run(self, spec: "SweepSpec", lookup: LookupTable | None = None) -> list[JobResult]:
-        """Expand a declarative spec and run the resulting grid."""
-        return self.run_jobs(spec.expand(lookup))
-
-
-# ----------------------------------------------------------------------
-# declarative grid
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SweepSpec:
-    """A declarative policy × workload × system-config × seed grid.
-
-    ``expand`` materializes the grid into independent :class:`SweepJob`
-    items in a deterministic order (seed-major, then DFG type, rate,
-    policy, graph).  Each job's ``tag`` records its grid coordinates.
-    """
-
-    policies: tuple[PolicySpec, ...]
-    dfg_types: tuple[int, ...] = (1,)
-    seeds: tuple[int, ...] = ()
-    rates_gbps: tuple[float, ...] = (4.0,)
-    n_graphs: int | None = None
-    settings: SimSettings = SimSettings()
-
-    def expand(self, lookup: LookupTable | None = None) -> list[SweepJob]:
-        from repro.core.system import CPU_GPU_FPGA
-        from repro.data.paper_tables import paper_lookup_table
-        from repro.experiments.workloads import DEFAULT_SEED, paper_suite
-
-        lookup = lookup if lookup is not None else paper_lookup_table()
-        seeds = self.seeds or (DEFAULT_SEED,)
-        jobs: list[SweepJob] = []
-        for seed in seeds:
-            for dfg_type in self.dfg_types:
-                suite = paper_suite(dfg_type, seed)
-                if self.n_graphs is not None:
-                    suite = suite[: self.n_graphs]
-                for rate in self.rates_gbps:
-                    system = CPU_GPU_FPGA(transfer_rate_gbps=rate)
-                    for policy in self.policies:
-                        for index, dfg in enumerate(suite):
-                            jobs.append(
-                                make_job(
-                                    dfg,
-                                    policy,
-                                    system,
-                                    lookup,
-                                    settings=self.settings,
-                                    tag={
-                                        "seed": seed,
-                                        "dfg_type": dfg_type,
-                                        "rate_gbps": rate,
-                                        "policy": policy.name,
-                                        "graph_index": index,
-                                    },
-                                )
-                            )
-        return jobs
-
 
 __all__ = [
     "SWEEP_FORMAT_VERSION",
@@ -1065,7 +1014,6 @@ __all__ = [
     "PolicySpec",
     "SweepJob",
     "JobResult",
-    "SweepSpec",
     "SweepStats",
     "SweepCancelled",
     "SweepEngine",

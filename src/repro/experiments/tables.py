@@ -15,19 +15,14 @@ from typing import Sequence
 
 from repro.analysis.stats import improvement_percent
 from repro.experiments.report import TableResult
-from repro.experiments.runner import PAPER_ALPHAS, ExperimentRunner, RunRecord
-from repro.experiments.workloads import DEFAULT_SEED, paper_suite
+from repro.experiments.runner import PAPER_ALPHAS, ExperimentRunner, RunRecord, paper_spec
+from repro.experiments.sweep import PolicySpec
+from repro.experiments.workloads import DEFAULT_SEED
 
 #: Column order of the paper's makespan/λ tables.
 TABLE_POLICIES = ("apt", "met", "spn", "ss", "ag", "heft", "peft")
 #: The paper's improvement baseline pool: dynamic policies only (§4.4).
 DYNAMIC_POOL = ("met", "spn", "ss", "ag")
-
-
-def _setup(
-    runner: ExperimentRunner | None, seed: int
-) -> ExperimentRunner:
-    return runner if runner is not None else ExperimentRunner()
 
 
 def _policy_table(
@@ -39,18 +34,13 @@ def _policy_table(
     seed: int,
     rate_gbps: float,
 ) -> TableResult:
-    runner = _setup(runner, seed)
-    suite = paper_suite(dfg_type, seed)
-    by_policy = runner.compare_policies(
-        suite, TABLE_POLICIES, rate_gbps=rate_gbps, apt_alpha=apt_alpha
-    )
-    rows = []
-    for i in range(len(suite)):
-        row: list[object] = [i + 1]
-        for name in TABLE_POLICIES:
-            rec = by_policy[name][i]
-            row.append(rec.makespan if metric == "makespan" else rec.total_lambda)
-        rows.append(tuple(row))
+    runner = runner if runner is not None else ExperimentRunner()
+    policies = [PolicySpec.at_alpha(name, apt_alpha) for name in TABLE_POLICIES]
+    [by_policy] = runner.run([paper_spec(dfg_type, policies, seed, rate_gbps)])
+    rows = [
+        (i, *(getattr(rec, metric) for rec in graph))
+        for i, graph in enumerate(zip(*by_policy), start=1)
+    ]
     return TableResult(
         title=title,
         headers=("Graph",) + tuple(p.upper() for p in TABLE_POLICIES),
@@ -123,7 +113,7 @@ def table11(
         "Table 11 — Total λ delay (ms), DFG Type-1, all policies (α=4)",
         dfg_type=1,
         apt_alpha=4.0,
-        metric="lambda",
+        metric="total_lambda",
         runner=runner,
         seed=seed,
         rate_gbps=rate_gbps,
@@ -140,7 +130,7 @@ def table12(
         "Table 12 — Total λ delay (ms), DFG Type-2, all policies (α=4)",
         dfg_type=2,
         apt_alpha=4.0,
-        metric="lambda",
+        metric="total_lambda",
         runner=runner,
         seed=seed,
         rate_gbps=rate_gbps,
@@ -163,25 +153,29 @@ def table13(
     policy anchors both the exec and λ columns — matching the paper's
     presentation where MET is the runner-up throughout Tables 8–12.
     """
-    runner = _setup(runner, seed)
-    rows = []
-    baselines: dict[int, dict[str, list[RunRecord]]] = {}
+    runner = runner if runner is not None else ExperimentRunner()
+    pool = [PolicySpec.of(name) for name in DYNAMIC_POOL]
+    apts = [PolicySpec.of("apt", alpha=alpha) for alpha in alphas]
+    grids = runner.run(
+        [paper_spec(dfg_type, pool + apts, seed, rate_gbps) for dfg_type in (1, 2)]
+    )
+    baselines: dict[int, list[RunRecord]] = {}
+    by_alpha: dict[int, list[list[RunRecord]]] = {}
     second_best: dict[int, str] = {}
-    for dfg_type in (1, 2):
-        suite = paper_suite(dfg_type, seed)
-        baselines[dfg_type] = {
-            name: runner.run_suite(suite, name, rate_gbps) for name in DYNAMIC_POOL
-        }
+    for dfg_type, grid in zip((1, 2), grids):
+        pool_records = dict(zip(DYNAMIC_POOL, grid[: len(pool)]))
         second_best[dfg_type] = min(
-            baselines[dfg_type],
-            key=lambda n: sum(r.makespan for r in baselines[dfg_type][n]),
+            pool_records,
+            key=lambda n: sum(r.makespan for r in pool_records[n]),
         )
-    for alpha in alphas:
+        baselines[dfg_type] = pool_records[second_best[dfg_type]]
+        by_alpha[dfg_type] = grid[len(pool) :]
+    rows = []
+    for pos, alpha in enumerate(alphas):
         row: list[object] = [alpha]
         for dfg_type in (1, 2):
-            suite = paper_suite(dfg_type, seed)
-            apt = runner.run_suite(suite, "apt", rate_gbps, alpha)
-            base = baselines[dfg_type][second_best[dfg_type]]
+            base = baselines[dfg_type]
+            apt = by_alpha[dfg_type][pos]
             base_exec = sum(r.makespan for r in base) / len(base)
             base_lam = sum(r.total_lambda for r in base) / len(base)
             apt_exec = sum(r.makespan for r in apt) / len(apt)
@@ -217,9 +211,9 @@ def _allocation_table(
     seed: int,
     rate_gbps: float,
 ) -> TableResult:
-    runner = _setup(runner, seed)
-    suite = paper_suite(dfg_type, seed)
-    records = runner.run_suite(suite, "apt", rate_gbps, alpha)
+    runner = runner if runner is not None else ExperimentRunner()
+    apt = [PolicySpec.of("apt", alpha=alpha)]
+    [[records]] = runner.run([paper_spec(dfg_type, apt, seed, rate_gbps)])
     rows = []
     for i, rec in enumerate(records):
         breakdown = ", ".join(

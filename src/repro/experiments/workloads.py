@@ -314,6 +314,28 @@ def _streaming_workload(
     ]
 
 
+def _fork_join_stream_workload(
+    n_applications: int = 25,
+    mean_interarrival_ms: float = 1000.0,
+    seed: int = DEFAULT_SEED,
+) -> list[WorkloadUnit]:
+    """Poisson-arriving four-kernel fork-joins, merged into one unit.
+
+    The streaming extension study's workload.  Its unit carries the
+    arrivals only — no app spans, no source descriptor — so its jobs keep
+    the cache keys that study has always had.
+    """
+
+    def factory(index: int, rng: np.random.Generator) -> DFG:
+        return make_fork_join_dfg(2, rng=rng, name=f"app{index}")
+
+    stream = poisson_stream(
+        n_applications, mean_interarrival_ms, factory, np.random.default_rng(seed)
+    )
+    dfg, arrivals = stream.merged(name=f"stream_ia{mean_interarrival_ms:g}")
+    return [WorkloadUnit(dfg, arrivals=arrivals)]
+
+
 def _pipeline_workload(
     n_kernels: int = 64,
     stage_width: int = 4,
@@ -467,6 +489,7 @@ def _open_system_workload(
 WORKLOAD_KINDS = {
     "paper_suite": _paper_suite_workload,
     "streaming": _streaming_workload,
+    "fork_join_stream": _fork_join_stream_workload,
     "pipeline": _pipeline_workload,
     "open_system": _open_system_workload,
 }

@@ -1,4 +1,4 @@
-"""The static-checks pass: rule catalog, suppressions, baseline, gates.
+"""The static-checks pass: rule catalog, suppressions, gates.
 
 Each rule has a fixture mini-tree under ``tests/checks_fixtures/<rule>/``
 with seeded violations; the tests assert the rule fires with the right
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.checks import ALL_RULES, Baseline, get_rule, load_project, run_rules
+from repro.checks import ALL_RULES, get_rule, load_project, run_rules
 from repro.checks.framework import Finding
 from repro.checks.gates import check_module_sizes
 from repro.checks.rules import sweep_fingerprint, write_fingerprint
@@ -27,7 +27,7 @@ SRC_REPRO = Path(__file__).parent.parent / "src" / "repro"
 
 
 def run_rule(rule_id: str, root: Path):
-    """All findings of one rule over a fixture tree (no baseline)."""
+    """All findings of one rule over a fixture tree."""
     project = load_project(root)
     assert not project.skipped, project.skipped
     report = run_rules(project, [get_rule(rule_id)])
@@ -141,7 +141,7 @@ def test_cache_version_guard_drift_and_bump(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# suppressions & baseline
+# suppressions
 # ----------------------------------------------------------------------
 def test_inline_suppression_on_previous_comment_line(tmp_path):
     (tmp_path / "core").mkdir()
@@ -185,43 +185,6 @@ def test_suppression_is_per_rule(tmp_path):
     )
     report = run_rule("no-wallclock", tmp_path)
     assert len(report.new) == 1  # wrong rule id does not suppress
-
-
-def test_baseline_grandfathers_counted_findings(tmp_path):
-    (tmp_path / "core").mkdir()
-    (tmp_path / "core" / "mod.py").write_text(
-        "import time\n"
-        "\n"
-        "def f():\n"
-        "    return time.time()\n"
-        "\n"
-        "def g():\n"
-        "    return time.monotonic()\n",
-        encoding="utf-8",
-    )
-    project = load_project(tmp_path)
-    rule = get_rule("no-wallclock")
-    baseline = Baseline(allow={"no-wallclock:core/mod.py": 1})
-    report = run_rules(project, [rule], baseline=baseline)
-    # one excused, one (the later line) still fails
-    assert len(report.baselined) == 1 and len(report.new) == 1
-    assert report.new[0].line == 7
-
-    full = Baseline.from_findings(run_rules(project, [rule]).new)
-    assert full.allow == {"no-wallclock:core/mod.py": 2}
-    clean = run_rules(project, [rule], baseline=full)
-    assert clean.ok and len(clean.baselined) == 2
-
-    (tmp_path / "core" / "mod.py").write_text("x = 1\n", encoding="utf-8")
-    fixed = run_rules(load_project(tmp_path), [rule], baseline=full)
-    assert fixed.stale_baseline == ["no-wallclock:core/mod.py"]
-
-
-def test_baseline_round_trip(tmp_path):
-    baseline = Baseline(allow={"seeded-rng:a.py": 2})
-    path = tmp_path / "baseline.json"
-    baseline.dump(path)
-    assert Baseline.load(path).allow == baseline.allow
 
 
 # ----------------------------------------------------------------------
@@ -367,7 +330,6 @@ def test_finding_render_shapes():
     f = Finding(rule="r", path="a/b.py", line=3, message="msg % here")
     assert f.render() == "a/b.py:3: r: msg % here"
     assert f.render_github() == "::error file=a/b.py,line=3,title=checks/r::msg %25 here"
-    assert f.key == "r:a/b.py"
 
 
 def test_cli_check_verb():

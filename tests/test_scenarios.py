@@ -63,10 +63,14 @@ class TestSpecSerialization:
     def test_unknown_workload_kind_fails_loudly(self):
         with pytest.raises(ValueError, match="unknown workload kind"):
             build_workload("bogus")
+        with pytest.raises(ValueError, match="unknown workload kind"):
+            WorkloadSpec.of("bogus")
 
     def test_unknown_workload_param_fails_loudly(self):
         with pytest.raises(TypeError):
             build_workload("pipeline", bogus_param=1)
+        with pytest.raises(TypeError, match="bogus_param"):
+            WorkloadSpec.of("pipeline", bogus_param=1)
 
 
 class TestExecution:

@@ -424,6 +424,17 @@ class TestServiceHTTP:
             assert "error" in body
             status, body = client.submit(scenario="no_such_scenario")
             assert status == 404
+            # a bad workload is refused at admission, not failed later
+            for workload, reason in (
+                ({"kind": "bogus"}, "unknown workload kind 'bogus'"),
+                (
+                    {"kind": "pipeline", "params": {"n_kernel": 10}},
+                    "unexpected keyword argument 'n_kernel'",
+                ),
+            ):
+                status, body = client.submit(spec={**tiny_spec(), "workload": workload})
+                assert status == 400
+                assert reason in body["error"]
             # malformed JSON body
             import urllib.request
 

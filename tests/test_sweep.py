@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.lookup import KernelNotFoundError
 from repro.core.system import CPU_GPU_FPGA
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import ExperimentRunner, paper_spec
 from repro.experiments.sweep import (
     SWEEP_FORMAT_VERSION,
     PolicySpec,
@@ -23,7 +23,6 @@ from repro.experiments.sweep import (
     SimSettings,
     SweepEngine,
     SweepJob,
-    SweepSpec,
     execute_payload,
     hash_payload,
     make_job,
@@ -254,81 +253,125 @@ class TestSweepEngine:
         assert resolve_workers(0) >= 1
 
 
-class TestSweepSpec:
-    def test_expand_covers_grid(self):
-        spec = SweepSpec(
-            policies=(PolicySpec.of("apt", alpha=4.0), PolicySpec.of("met")),
-            dfg_types=(1, 2),
-            rates_gbps=(4.0, 8.0),
-            n_graphs=3,
-        )
-        jobs = spec.expand()
+class TestScenarioGrid:
+    def test_jobs_cover_grid(self):
+        policies = (PolicySpec.of("apt", alpha=4.0), PolicySpec.of("met"))
+        specs = [
+            paper_spec(dfg_type, policies, rate_gbps=rate, n_graphs=3)
+            for dfg_type in (1, 2)
+            for rate in (4.0, 8.0)
+        ]
+        jobs = [job for spec in specs for job in spec.jobs()]
         assert len(jobs) == 2 * 2 * 2 * 3
         tags = {
-            (t["dfg_type"], t["rate_gbps"], t["policy"], t["graph_index"])
+            (t["scenario"], t["policy"], t["graph_index"])
             for t in (job.tag for job in jobs)
         }
         assert len(tags) == len(jobs)
 
     def test_seed_enters_hash(self):
-        base = SweepSpec(policies=(PolicySpec.of("met"),), n_graphs=1)
-        a = SweepSpec(**{**base.__dict__, "seeds": (1,)}).expand()
-        b = SweepSpec(**{**base.__dict__, "seeds": (2,)}).expand()
+        met = (PolicySpec.of("met"),)
+        a = paper_spec(1, met, seed=1, n_graphs=1).jobs()
+        b = paper_spec(1, met, seed=2, n_graphs=1).jobs()
         assert a[0].content_hash() != b[0].content_hash()
+
+    #: one job's content hash per experiment builder, recorded before
+    #: the paper artifacts moved onto ScenarioSpec (paper lookup,
+    #: default settings)
+    PINNED_KEYS = {
+        # Type-1 graph 0, seed 2017, MET, 4 GB/s
+        "paper-type1": "056d7248999606b6b90a69a6e6e27286214a0e1bc86eb78fd053cedc9d4dc27e",
+        # Type-2 graph 9, APT alpha=1.5, 8 GB/s
+        "paper-type2": "eecf885aaf3e48695699e40a2babf6c17ee222145bd3475115a7043c16278863",
+        # the first job: APT alpha=4, IA 4000 ms, 25 applications
+        "streaming-load-sweep": (
+            "d160fb5e749428e3386161343ddce2b63cd5fb077dc5e730a100ace9090f4da7"
+        ),
+        # load_sweep(policies=("apt",), rates_per_s=(0.5,))
+        "load-sweep": "2d3f4ebde22019f826ddb1c408dc54aecb274fc1f2f4a0410fa55f7ce45b14dc",
+    }
+
+    @pytest.mark.parametrize("builder", list(PINNED_KEYS))
+    def test_grid_builders_keep_their_cache_keys(self, builder, monkeypatch):
+        """A cache filled before the move still serves every builder."""
+        from repro.experiments.extensions import streaming_load_sweep
+        from repro.experiments.load_sweep import load_sweep
+
+        batches: list[list[SweepJob]] = []
+        run_jobs = SweepEngine.run_jobs
+
+        def spy(engine, jobs, *args, **kwargs):
+            batches.append(list(jobs))
+            return run_jobs(engine, jobs, *args, **kwargs)
+
+        monkeypatch.setattr(SweepEngine, "run_jobs", spy)
+        if builder == "paper-type1":
+            job = paper_spec(1, [PolicySpec.of("met")], rate_gbps=4.0).jobs()[0]
+        elif builder == "paper-type2":
+            apt = PolicySpec.of("apt", alpha=1.5)
+            job = paper_spec(2, [apt], rate_gbps=8.0).jobs()[9]
+        elif builder == "streaming-load-sweep":
+            streaming_load_sweep()
+            job = batches[0][0]
+        else:
+            load_sweep(policies=("apt",), rates_per_s=(0.5,))
+            [job] = batches[0]
+        assert job.content_hash() == self.PINNED_KEYS[builder]
 
 
 class TestRunnerIntegration:
-    @pytest.fixture(scope="class")
-    def suite(self):
-        from repro.experiments.workloads import paper_type1_suite
+    POLICIES = (PolicySpec.of("apt", alpha=4.0), PolicySpec.of("met"))
 
-        return paper_type1_suite()[:2]
+    @staticmethod
+    def suite_spec(*policies, seed=2017):
+        """The first two Type-1 graphs at 4 GB/s."""
+        return paper_spec(1, policies, seed=seed, n_graphs=2)
 
-    def test_parallel_runner_matches_serial(self, suite):
-        serial = ExperimentRunner().compare_policies(suite, ("apt", "met"), apt_alpha=4.0)
-        parallel = ExperimentRunner(workers=4).compare_policies(
-            suite, ("apt", "met"), apt_alpha=4.0
-        )
+    def test_parallel_runner_matches_serial(self):
+        spec = self.suite_spec(*self.POLICIES)
+        serial = ExperimentRunner().run([spec])
+        parallel = ExperimentRunner(workers=4).run([spec])
         assert serial == parallel
 
-    def test_runner_warm_cache_rerun_simulates_nothing(self, suite, tmp_path):
+    def test_runner_warm_cache_rerun_simulates_nothing(self, tmp_path):
+        spec = self.suite_spec(PolicySpec.of("met"))
         first = ExperimentRunner(cache_dir=tmp_path)
-        first.run_suite(suite, "met")
-        assert first.engine.stats.simulated == len(suite)
+        first.run([spec])
+        assert first.engine.stats.simulated == 2
 
         rerun = ExperimentRunner(cache_dir=tmp_path)
-        records = rerun.run_suite(suite, "met")
+        [[records]] = rerun.run([spec])
         assert rerun.engine.stats.simulated == 0
         assert [r.makespan for r in records] == [
-            r.makespan for r in first.run_suite(suite, "met")
+            r.makespan for r in first.run([spec])[0][0]
         ]
 
     def test_runner_memo_distinguishes_seeds(self):
         # suites from different seeds reuse graph *names*; the memo must
         # key on content, not name, when one runner serves both.
-        from repro.experiments.workloads import paper_type1_suite
-
         runner = ExperimentRunner()
-        seed1 = runner.run_one(0, paper_type1_suite(seed=1)[0], "met", 4.0)
-        seed2 = runner.run_one(0, paper_type1_suite(seed=2)[0], "met", 4.0)
+        met = PolicySpec.of("met")
+        seed1 = runner.run([self.suite_spec(met, seed=1)])[0][0][0]
+        seed2 = runner.run([self.suite_spec(met, seed=2)])[0][0][0]
         assert seed1.graph_name == seed2.graph_name
         assert seed1.makespan != seed2.makespan
 
-    def test_records_carry_energy(self, suite):
-        rec = ExperimentRunner().run_one(0, suite[0], "met", 4.0)
+    def test_records_carry_energy(self):
+        rec = ExperimentRunner().run([self.suite_spec(PolicySpec.of("met"))])[0][0][0]
         assert rec.energy_joules > 0
         assert rec.energy_delay_product > 0
 
-    def test_static_overhead_not_cached_into_disk_results(self, suite, tmp_path):
+    def test_static_overhead_not_cached_into_disk_results(self, tmp_path):
+        spec = self.suite_spec(PolicySpec.of("heft"))
         charged = ExperimentRunner(
             static_planning_overhead_per_kernel_ms=10.0, cache_dir=tmp_path
         )
-        a = charged.run_one(0, suite[0], "heft", 4.0)
+        a = charged.run([spec])[0][0][0]
         # a second runner *without* the overhead reads the same cache entry
         plain = ExperimentRunner(cache_dir=tmp_path)
-        b = plain.run_one(0, suite[0], "heft", 4.0)
+        b = plain.run([spec])[0][0][0]
         assert plain.engine.stats.simulated == 0
-        assert a.makespan == pytest.approx(b.makespan + 10.0 * len(suite[0]))
+        assert a.makespan == pytest.approx(b.makespan + 10.0 * a.n_kernels)
 
 
 class TestOpenSystemPayload:

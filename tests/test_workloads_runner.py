@@ -3,7 +3,8 @@
 import pytest
 
 from repro.data.paper_tables import PAPER_GRAPH_SIZES
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import ExperimentRunner, paper_spec
+from repro.experiments.sweep import PolicySpec
 from repro.experiments.workloads import (
     paper_suite,
     paper_type1_suite,
@@ -56,52 +57,66 @@ class TestRunner:
     def runner(self):
         return ExperimentRunner()
 
-    @pytest.fixture(scope="class")
-    def small_suite(self):
-        return paper_type1_suite()[:2]
+    @staticmethod
+    def records(runner, *policies, rates=(4.0,)):
+        """One grid per rate over the first two Type-1 graphs."""
+        return runner.run(
+            [paper_spec(1, policies, rate_gbps=rate, n_graphs=2) for rate in rates]
+        )
 
-    def test_run_one_record_fields(self, runner, small_suite):
-        rec = runner.run_one(0, small_suite[0], "met", 4.0)
+    def test_run_one_record_fields(self, runner):
+        [[[rec, _]]] = self.records(runner, PolicySpec.of("met"))
         assert rec.policy == "met"
         assert rec.makespan > 0
-        assert rec.n_kernels == len(small_suite[0])
+        assert rec.n_kernels == len(paper_type1_suite()[0])
         assert rec.alpha is None
 
-    def test_memoization_returns_identical_record(self, runner, small_suite):
-        a = runner.run_one(0, small_suite[0], "met", 4.0)
-        b = runner.run_one(0, small_suite[0], "met", 4.0)
+    def test_memoization_returns_identical_record(self, runner):
+        a = self.records(runner, PolicySpec.of("met"))[0][0][0]
+        b = self.records(runner, PolicySpec.of("met"))[0][0][0]
         assert a is b
 
-    def test_alpha_distinguishes_cache_entries(self, runner, small_suite):
-        a = runner.run_one(0, small_suite[0], "apt", 4.0, alpha=1.5)
-        b = runner.run_one(0, small_suite[0], "apt", 4.0, alpha=16.0)
-        assert a is not b
+    def test_alpha_distinguishes_cache_entries(self, runner):
+        [[a, b]] = self.records(
+            runner, PolicySpec.of("apt", alpha=1.5), PolicySpec.of("apt", alpha=16.0)
+        )
+        assert a[0] is not b[0]
 
-    def test_run_suite_order(self, runner, small_suite):
-        recs = runner.run_suite(small_suite, "met")
+    def test_run_suite_order(self, runner):
+        [[recs]] = self.records(runner, PolicySpec.of("met"))
         assert [r.graph_index for r in recs] == [0, 1]
 
-    def test_compare_policies_passes_alpha_to_apt_only(self, runner, small_suite):
-        out = runner.compare_policies(small_suite, ("apt", "met"), apt_alpha=2.0)
-        assert all(r.alpha == 2.0 for r in out["apt"])
-        assert all(r.alpha is None for r in out["met"])
+    def test_compare_policies_passes_alpha_to_apt_only(self, runner):
+        [[apt, met]] = self.records(
+            runner, PolicySpec.at_alpha("apt", 2.0), PolicySpec.at_alpha("met", 2.0)
+        )
+        assert all(r.alpha == 2.0 for r in apt)
+        assert all(r.alpha is None for r in met)
 
-    def test_alpha_sweep_covers_grid(self, runner, small_suite):
-        sweep = runner.alpha_sweep(small_suite, alphas=(1.5, 4.0), rates=(4.0, 8.0))
-        assert set(sweep) == {(1.5, 4.0), (1.5, 8.0), (4.0, 4.0), (4.0, 8.0)}
+    def test_alpha_sweep_covers_grid(self, runner):
+        alphas, rates = (1.5, 4.0), (4.0, 8.0)
+        apts = [PolicySpec.of("apt", alpha=alpha) for alpha in alphas]
+        grids = self.records(runner, *apts, rates=rates)
+        sweep = {
+            (rec.alpha, rec.rate_gbps)
+            for grid in grids
+            for records in grid
+            for rec in records
+        }
+        assert sweep == {(1.5, 4.0), (1.5, 8.0), (4.0, 4.0), (4.0, 8.0)}
 
-    def test_apt_records_alternative_breakdown(self, runner, small_suite):
-        recs = runner.run_suite(small_suite, "apt", 4.0, alpha=16.0)
+    def test_apt_records_alternative_breakdown(self, runner):
+        [[recs]] = self.records(runner, PolicySpec.of("apt", alpha=16.0))
         rec = recs[0]
         assert rec.n_alternative == sum(rec.alternative_by_kernel.values())
 
-    def test_static_overhead_knob(self, small_suite):
+    def test_static_overhead_knob(self):
         plain = ExperimentRunner()
         charged = ExperimentRunner(static_planning_overhead_per_kernel_ms=10.0)
-        a = plain.run_one(0, small_suite[0], "heft", 4.0)
-        b = charged.run_one(0, small_suite[0], "heft", 4.0)
-        assert b.makespan == pytest.approx(a.makespan + 10.0 * len(small_suite[0]))
+        a = self.records(plain, PolicySpec.of("heft"))[0][0][0]
+        b = self.records(charged, PolicySpec.of("heft"))[0][0][0]
+        assert b.makespan == pytest.approx(a.makespan + 10.0 * len(paper_type1_suite()[0]))
         # dynamic policies are never charged
-        c = charged.run_one(0, small_suite[0], "met", 4.0)
-        d = plain.run_one(0, small_suite[0], "met", 4.0)
+        c = self.records(charged, PolicySpec.of("met"))[0][0][0]
+        d = self.records(plain, PolicySpec.of("met"))[0][0][0]
         assert c.makespan == pytest.approx(d.makespan)
