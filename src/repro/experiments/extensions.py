@@ -16,14 +16,16 @@ Three studies the paper motivates but does not run:
 
 Every study (and the heterogeneity and estimation-error studies below)
 describes its grid as scenario specs on the flat platform and submits
-them through the shared :class:`ExperimentRunner` as one engine batch —
-one per β for the heterogeneity sweep — so they parallelize across
-workers and memoize in the result cache like the paper tables do.
+them through an :class:`ExperimentRunner` as one engine batch — one
+runner per β for the heterogeneity sweep, since each β prices the suite
+with its own table — so they parallelize across workers and memoize in
+the result cache like the paper tables do.
 """
 
 from __future__ import annotations
 
 from repro.core.lookup import scale_heterogeneity
+from repro.data.paper_tables import paper_lookup_table
 from repro.experiments.report import TableResult
 from repro.experiments.runner import ExperimentRunner, flat_spec, paper_spec
 from repro.experiments.scenarios import WorkloadSpec
@@ -117,7 +119,6 @@ def heterogeneity_sweep(
     betas: tuple[float, ...] = (0.0, 0.25, 0.5, 1.0, 1.5),
     alphas: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0),
     n_graphs: int = 5,
-    runner: ExperimentRunner | None = None,
 ) -> TableResult:
     """How APT's gain and best α move with the degree of heterogeneity.
 
@@ -135,14 +136,13 @@ def heterogeneity_sweep(
     heterogeneity (β = 1.5) waiting is simply optimal, so APT's best move
     is to mimic MET.
     """
-    runner = runner if runner is not None else ExperimentRunner()
     policies = [PolicySpec.of("met"), *(PolicySpec.of("apt", alpha=a) for a in alphas)]
     spec = paper_spec(2, policies, seed, rate_gbps, n_graphs=n_graphs)
     rows = []
     for beta in betas:
-        # one batch per β: each cell prices the suite with its own table
-        table = scale_heterogeneity(runner.lookup, beta)
-        [[met_records, *apt_records]] = runner.run([spec], lookup=table)
+        # one runner per β: each cell prices the suite with its own table
+        runner = ExperimentRunner(lookup=scale_heterogeneity(paper_lookup_table(), beta))
+        [[met_records, *apt_records]] = runner.run([spec])
         met = runner.mean([r.makespan for r in met_records])
         by_alpha = {
             alpha: runner.mean([r.makespan for r in records])
@@ -240,7 +240,12 @@ def energy_comparison(
     apt_alpha: float = 4.0,
     policies: tuple[str, ...] = ("apt", "met", "spn", "heft", "peft"),
 ) -> TableResult:
-    """Total energy and energy-delay product per policy over a suite."""
+    """Total energy and energy-delay product per policy over a suite.
+
+    The makespan column includes ``runner``'s static-planning overhead
+    (zero by default) for HEFT/PEFT; energy and EDP are the simulated
+    schedule's and do not.
+    """
     runner = runner if runner is not None else ExperimentRunner()
     specs = [PolicySpec.at_alpha(name, apt_alpha) for name in policies]
     [grid] = runner.run([paper_spec(dfg_type, specs, seed, rate_gbps)])

@@ -153,22 +153,18 @@ class ExperimentRunner:
         self._cache: dict[tuple, RunRecord] = {}
         self._is_static: dict[PolicySpec, bool] = {}
 
-    def run(
-        self, specs: Sequence[ScenarioSpec], lookup: LookupTable | None = None
-    ) -> list[list[list[RunRecord]]]:
+    def run(self, specs: Sequence[ScenarioSpec]) -> list[list[list[RunRecord]]]:
         """Run every job of ``specs`` as one engine batch.
 
         Returns one grid per spec: a list of records per policy, in the
         spec's policy order, each in workload-unit (graph) order.
-        ``lookup`` overrides the runner's table for this batch.
 
         Repeated jobs return the identical memoized :class:`RunRecord`.
         The memo is keyed by the job's *content hash* (plus the graph
         index), never by graph name — suites that reuse names across
         seeds can share a runner safely.
         """
-        lookup = lookup if lookup is not None else self.lookup
-        expanded = [spec.jobs(lookup) for spec in specs]
+        expanded = [spec.jobs(self.lookup) for spec in specs]
         jobs = [job for spec_jobs in expanded for job in spec_jobs]
         keys = [(job.tag["graph_index"], job.content_hash()) for job in jobs]
         # within-batch dedupe: the engine also dedupes by content hash,

@@ -362,6 +362,8 @@ class TestRunnerIntegration:
         assert rec.energy_delay_product > 0
 
     def test_static_overhead_not_cached_into_disk_results(self, tmp_path):
+        from repro.experiments.workloads import paper_type1_suite
+
         spec = self.suite_spec(PolicySpec.of("heft"))
         charged = ExperimentRunner(
             static_planning_overhead_per_kernel_ms=10.0, cache_dir=tmp_path
@@ -371,7 +373,7 @@ class TestRunnerIntegration:
         plain = ExperimentRunner(cache_dir=tmp_path)
         b = plain.run([spec])[0][0][0]
         assert plain.engine.stats.simulated == 0
-        assert a.makespan == pytest.approx(b.makespan + 10.0 * a.n_kernels)
+        assert a.makespan == pytest.approx(b.makespan + 10.0 * len(paper_type1_suite()[0]))
 
 
 class TestOpenSystemPayload:
