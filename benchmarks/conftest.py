@@ -17,13 +17,13 @@ _SRC = str(_ROOT / "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro.experiments.runner import ExperimentRunner  # noqa: E402
+from repro.experiments.sweep import SweepEngine  # noqa: E402
 
 
 @pytest.fixture(scope="session")
-def runner() -> ExperimentRunner:
-    """One memoizing runner for the whole benchmark session."""
-    return ExperimentRunner()
+def engine() -> SweepEngine:
+    """One memoizing sweep engine for the whole benchmark session."""
+    return SweepEngine()
 
 
 @pytest.fixture(scope="session")

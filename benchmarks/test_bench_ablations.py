@@ -10,12 +10,12 @@ from repro.experiments import ablations
 from repro.experiments.report import render_table
 
 
-def test_bench_ablation_transfer_term(benchmark, runner, results_dir):
+def test_bench_ablation_transfer_term(benchmark, engine, results_dir):
     t = None
 
     def regenerate():
         nonlocal t
-        t = ablations.ablate_transfer_term(runner=runner, alphas=(1.5, 4.0, 16.0))
+        t = ablations.ablate_transfer_term(engine=engine, alphas=(1.5, 4.0, 16.0))
         return t
 
     benchmark(regenerate)
@@ -23,12 +23,12 @@ def test_bench_ablation_transfer_term(benchmark, runner, results_dir):
     write_artifact(results_dir, "ablation_transfer_term.txt", render_table(t))
 
 
-def test_bench_ablation_queue_discipline(benchmark, runner, results_dir):
+def test_bench_ablation_queue_discipline(benchmark, engine, results_dir):
     t = None
 
     def regenerate():
         nonlocal t
-        t = ablations.ablate_queue_discipline(runner=runner)
+        t = ablations.ablate_queue_discipline(engine=engine)
         return t
 
     benchmark(regenerate)
@@ -36,12 +36,12 @@ def test_bench_ablation_queue_discipline(benchmark, runner, results_dir):
     write_artifact(results_dir, "ablation_queue_discipline.txt", render_table(t))
 
 
-def test_bench_ablation_remaining_time(benchmark, runner, results_dir):
+def test_bench_ablation_remaining_time(benchmark, engine, results_dir):
     t = None
 
     def regenerate():
         nonlocal t
-        t = ablations.ablate_remaining_time(runner=runner, alphas=(4.0, 8.0, 16.0))
+        t = ablations.ablate_remaining_time(engine=engine, alphas=(4.0, 8.0, 16.0))
         return t
 
     benchmark(regenerate)

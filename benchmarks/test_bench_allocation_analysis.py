@@ -18,12 +18,12 @@ ALPHAS = (1.5, 2.0, 4.0, 8.0, 16.0)
 @pytest.mark.parametrize(
     "table_fn,name", [(tables.table15, "table15"), (tables.table16, "table16")]
 )
-def test_bench_allocation_analysis(benchmark, runner, results_dir, table_fn, name):
+def test_bench_allocation_analysis(benchmark, engine, results_dir, table_fn, name):
     per_alpha = {}
 
     def regenerate():
         for alpha in ALPHAS:
-            per_alpha[alpha] = table_fn(alpha=alpha, runner=runner)
+            per_alpha[alpha] = table_fn(alpha=alpha, engine=engine)
         return per_alpha
 
     benchmark(regenerate)

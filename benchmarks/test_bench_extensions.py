@@ -15,12 +15,12 @@ from repro.experiments.extensions import (
 from repro.experiments.report import render_table
 
 
-def test_bench_streaming_load_sweep(benchmark, runner, results_dir):
+def test_bench_streaming_load_sweep(benchmark, engine, results_dir):
     t = None
 
     def regenerate():
         nonlocal t
-        t = streaming_load_sweep(runner=runner, n_applications=20)
+        t = streaming_load_sweep(engine=engine, n_applications=20)
         return t
 
     benchmark(regenerate)
@@ -31,12 +31,12 @@ def test_bench_streaming_load_sweep(benchmark, runner, results_dir):
     write_artifact(results_dir, "extension_streaming.txt", render_table(t))
 
 
-def test_bench_extended_policy_pool(benchmark, runner, results_dir):
+def test_bench_extended_policy_pool(benchmark, engine, results_dir):
     t = None
 
     def regenerate():
         nonlocal t
-        t = extended_policy_comparison(runner=runner)
+        t = extended_policy_comparison(engine=engine)
         return t
 
     benchmark(regenerate)
@@ -83,12 +83,12 @@ def test_bench_estimation_error(benchmark, results_dir):
 
 
 @pytest.mark.parametrize("dfg_type", [1, 2])
-def test_bench_energy(benchmark, runner, results_dir, dfg_type):
+def test_bench_energy(benchmark, engine, results_dir, dfg_type):
     t = None
 
     def regenerate():
         nonlocal t
-        t = energy_comparison(runner=runner, dfg_type=dfg_type)
+        t = energy_comparison(engine=engine, dfg_type=dfg_type)
         return t
 
     benchmark(regenerate)

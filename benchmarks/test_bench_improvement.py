@@ -11,12 +11,12 @@ from repro.experiments import tables
 from repro.experiments.report import render_table
 
 
-def test_bench_table13_improvements(benchmark, runner, results_dir):
+def test_bench_table13_improvements(benchmark, engine, results_dir):
     t13 = None
 
     def regenerate():
         nonlocal t13
-        t13 = tables.table13(runner=runner)
+        t13 = tables.table13(engine=engine)
         return t13
 
     benchmark(regenerate)

@@ -10,6 +10,7 @@ import pytest
 from benchmarks.conftest import write_artifact
 from repro.core.simulator import Simulator
 from repro.core.system import CPU_GPU_FPGA
+from repro.data.paper_tables import paper_lookup_table
 from repro.experiments import figures, tables
 from repro.experiments.report import render_figure, render_table
 from repro.experiments.workloads import paper_suite
@@ -20,12 +21,12 @@ from repro.policies.apt import APT
     "dfg_type,table_fn,name",
     [(1, tables.table11, "table11"), (2, tables.table12, "table12")],
 )
-def test_bench_lambda_tables(benchmark, runner, results_dir, dfg_type, table_fn, name):
+def test_bench_lambda_tables(benchmark, engine, results_dir, dfg_type, table_fn, name):
     suite = paper_suite(dfg_type)
-    sim = Simulator(CPU_GPU_FPGA(transfer_rate_gbps=4.0), runner.lookup)
+    sim = Simulator(CPU_GPU_FPGA(transfer_rate_gbps=4.0), paper_lookup_table())
     benchmark(lambda: sim.run(suite[1], APT(alpha=4.0)))
 
-    t = table_fn(runner=runner)
+    t = table_fn(engine=engine)
     apt, met = sum(t.column("APT")), sum(t.column("MET"))
     assert apt < met, "APT(α=4) must reduce total λ below MET"
     benchmark.extra_info["apt_total_lambda"] = apt
@@ -36,12 +37,12 @@ def test_bench_lambda_tables(benchmark, runner, results_dir, dfg_type, table_fn,
 @pytest.mark.parametrize(
     "figure_fn,name", [(figures.figure11, "figure11"), (figures.figure12, "figure12")]
 )
-def test_bench_lambda_figures(benchmark, runner, results_dir, figure_fn, name):
+def test_bench_lambda_figures(benchmark, engine, results_dir, figure_fn, name):
     fig = None
 
     def regenerate():
         nonlocal fig
-        fig = figure_fn(runner=runner)
+        fig = figure_fn(engine=engine)
         return fig
 
     benchmark(regenerate)

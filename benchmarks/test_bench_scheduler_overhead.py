@@ -14,6 +14,7 @@ from repro.core.system import CPU_GPU_FPGA
 from repro.experiments.workloads import paper_type2_suite
 from repro.policies.registry import PAPER_POLICIES, get_policy
 from repro.core.cost import CostModel
+from repro.data.paper_tables import paper_lookup_table
 
 
 @pytest.fixture(scope="module")
@@ -22,8 +23,8 @@ def biggest_graph():
 
 
 @pytest.mark.parametrize("policy_name", PAPER_POLICIES)
-def test_bench_policy_end_to_end(benchmark, runner, biggest_graph, policy_name):
-    sim = Simulator(CPU_GPU_FPGA(transfer_rate_gbps=4.0), runner.lookup)
+def test_bench_policy_end_to_end(benchmark, biggest_graph, policy_name):
+    sim = Simulator(CPU_GPU_FPGA(transfer_rate_gbps=4.0), paper_lookup_table())
     policy_kwargs = {"alpha": 4.0} if policy_name == "apt" else {}
 
     def run():
@@ -35,12 +36,11 @@ def test_bench_policy_end_to_end(benchmark, runner, biggest_graph, policy_name):
 
 
 @pytest.mark.parametrize("policy_name", ["heft", "peft"])
-def test_bench_static_planning_phase_alone(benchmark, runner, biggest_graph, policy_name):
+def test_bench_static_planning_phase_alone(benchmark, biggest_graph, policy_name):
     """Just the pre-computation (rank/OCT + processor selection) phase."""
     policy = get_policy(policy_name)
     system = CPU_GPU_FPGA(transfer_rate_gbps=4.0)
+    lookup = paper_lookup_table()
 
-    plan = benchmark(
-        lambda: policy.plan(biggest_graph, CostModel(system, runner.lookup))
-    )
+    plan = benchmark(lambda: policy.plan(biggest_graph, CostModel(system, lookup)))
     plan.validate(biggest_graph, system)

@@ -11,30 +11,31 @@ import pytest
 from benchmarks.conftest import write_artifact
 from repro.core.simulator import Simulator
 from repro.core.system import CPU_GPU_FPGA
+from repro.data.paper_tables import paper_lookup_table
 from repro.experiments import figures, tables
 from repro.experiments.report import render_figure, render_table
 from repro.experiments.workloads import paper_type1_suite, paper_type2_suite
 from repro.policies.met import MET
 
 
-def test_bench_table8_type1_alpha15(benchmark, runner, results_dir):
+def test_bench_table8_type1_alpha15(benchmark, engine, results_dir):
     suite = paper_type1_suite()
-    sim = Simulator(CPU_GPU_FPGA(transfer_rate_gbps=4.0), runner.lookup)
+    sim = Simulator(CPU_GPU_FPGA(transfer_rate_gbps=4.0), paper_lookup_table())
     benchmark(lambda: sim.run(suite[0], MET()))
 
-    t = tables.table8(runner=runner)
+    t = tables.table8(engine=engine)
     apt, met = t.column("APT"), t.column("MET")
     assert all(abs(a - m) / m < 0.02 for a, m in zip(apt, met)), \
         "APT(1.5) must mimic MET (paper §4.2.1)"
     write_artifact(results_dir, "table8.txt", render_table(t))
 
 
-def test_bench_table9_type2_alpha15(benchmark, runner, results_dir):
+def test_bench_table9_type2_alpha15(benchmark, engine, results_dir):
     suite = paper_type2_suite()
-    sim = Simulator(CPU_GPU_FPGA(transfer_rate_gbps=4.0), runner.lookup)
+    sim = Simulator(CPU_GPU_FPGA(transfer_rate_gbps=4.0), paper_lookup_table())
     benchmark(lambda: sim.run(suite[0], MET()))
 
-    t = tables.table9(runner=runner)
+    t = tables.table9(engine=engine)
     apt, met = t.column("APT"), t.column("MET")
     assert all(abs(a - m) / m < 0.02 for a, m in zip(apt, met))
     # SPN/SS/AG trail by large factors on dependency-carrying graphs.
@@ -43,25 +44,25 @@ def test_bench_table9_type2_alpha15(benchmark, runner, results_dir):
     write_artifact(results_dir, "table9.txt", render_table(t))
 
 
-def test_bench_table10_type2_alpha4(benchmark, runner, results_dir):
+def test_bench_table10_type2_alpha4(benchmark, engine, results_dir):
     from repro.policies.apt import APT
 
     suite = paper_type2_suite()
-    sim = Simulator(CPU_GPU_FPGA(transfer_rate_gbps=4.0), runner.lookup)
+    sim = Simulator(CPU_GPU_FPGA(transfer_rate_gbps=4.0), paper_lookup_table())
     benchmark(lambda: sim.run(suite[0], APT(alpha=4.0)))
 
-    t = tables.table10(runner=runner)
+    t = tables.table10(engine=engine)
     wins = sum(1 for a, m in zip(t.column("APT"), t.column("MET")) if a < m - 1e-9)
     assert wins >= 9, "paper Table 10: APT(α=4) wins 9/10 graphs"
     write_artifact(results_dir, "table10.txt", render_table(t))
 
 
-def test_bench_figure6_top4_type1(benchmark, runner, results_dir):
+def test_bench_figure6_top4_type1(benchmark, engine, results_dir):
     f6 = None
 
     def regenerate():
         nonlocal f6
-        f6 = figures.figure6(runner=runner)
+        f6 = figures.figure6(engine=engine)
         return f6
 
     benchmark(regenerate)
@@ -69,12 +70,12 @@ def test_bench_figure6_top4_type1(benchmark, runner, results_dir):
     write_artifact(results_dir, "figure6.txt", render_figure(f6))
 
 
-def test_bench_figure8_top4_type2(benchmark, runner, results_dir):
+def test_bench_figure8_top4_type2(benchmark, engine, results_dir):
     f8 = None
 
     def regenerate():
         nonlocal f8
-        f8 = figures.figure8_top4(runner=runner)
+        f8 = figures.figure8_top4(engine=engine)
         return f8
 
     benchmark(regenerate)
@@ -84,13 +85,13 @@ def test_bench_figure8_top4_type2(benchmark, runner, results_dir):
 
 @pytest.mark.parametrize("dfg_type", [1, 2])
 def test_bench_figure10_apt_vs_met_per_experiment(
-    benchmark, runner, results_dir, dfg_type
+    benchmark, engine, results_dir, dfg_type
 ):
     fig = None
 
     def regenerate():
         nonlocal fig
-        fig = figures.figure10_apt_vs_met(dfg_type=dfg_type, runner=runner)
+        fig = figures.figure10_apt_vs_met(dfg_type=dfg_type, engine=engine)
         return fig
 
     benchmark(regenerate)

@@ -54,8 +54,9 @@ from repro.core.system import CPU_GPU_FPGA
 from repro.data.paper_tables import paper_lookup_table
 from repro.experiments import extensions, figures, tables
 from repro.experiments.report import render_figure, render_table
-from repro.experiments.runner import ExperimentRunner, paper_spec
-from repro.experiments.sweep import PolicySpec
+from repro.experiments.runner import mean, paper_spec
+from repro.experiments.scenarios import run_scenarios
+from repro.experiments.sweep import PolicySpec, SweepEngine
 from repro.experiments.workloads import DEFAULT_SEED
 from repro.graphs.generators import make_type1_dfg, make_type2_dfg
 from repro.policies.registry import PAPER_POLICIES, available_policies
@@ -309,9 +310,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _runner_from_args(args: argparse.Namespace) -> ExperimentRunner:
-    """An :class:`ExperimentRunner` honouring the shared engine flags."""
-    return ExperimentRunner(
+def _engine_from_args(args: argparse.Namespace) -> SweepEngine:
+    """A :class:`SweepEngine` honouring the shared engine flags."""
+    return SweepEngine(
         workers=args.workers,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
@@ -319,9 +320,10 @@ def _runner_from_args(args: argparse.Namespace) -> ExperimentRunner:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    runner = _runner_from_args(args)
     policies = [PolicySpec.at_alpha(name, args.alpha) for name in PAPER_POLICIES]
-    [by_policy] = runner.run([paper_spec(args.dfg_type, policies, args.seed, args.rate)])
+    spec = paper_spec(args.dfg_type, policies, args.seed, args.rate)
+    [outcome] = run_scenarios([spec], _engine_from_args(args))
+    by_policy = outcome.by_policy()
     print(
         f"DFG Type-{args.dfg_type}, {args.rate} GB/s, APT alpha={args.alpha} "
         f"(mean over {len(by_policy[0])} graphs)"
@@ -330,8 +332,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         makespans = [r.makespan for r in records]
         lams = [r.total_lambda for r in records]
         print(
-            f"  {name.upper():<5s} makespan={runner.mean(makespans):>12,.1f} ms   "
-            f"lambda={runner.mean(lams):>12,.1f} ms"
+            f"  {name.upper():<5s} makespan={mean(makespans):>12,.1f} ms   "
+            f"lambda={mean(lams):>12,.1f} ms"
         )
     return 0
 
@@ -343,19 +345,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         (1, "lambda"): figures.figure11,
         (2, "lambda"): figures.figure12,
     }[(args.dfg_type, args.metric)]
-    print(render_figure(fig_fn(runner=_runner_from_args(args), seed=args.seed)))
+    print(render_figure(fig_fn(engine=_engine_from_args(args), seed=args.seed)))
     return 0
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
     table_fn = _TABLES[args.number]
-    print(render_table(table_fn(runner=_runner_from_args(args), seed=args.seed)))
+    print(render_table(table_fn(engine=_engine_from_args(args), seed=args.seed)))
     return 0
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     fig_fn = _FIGURES[args.number]
-    print(render_figure(fig_fn(runner=_runner_from_args(args), seed=args.seed)))
+    print(render_figure(fig_fn(engine=_engine_from_args(args), seed=args.seed)))
     return 0
 
 
@@ -377,7 +379,7 @@ def _cmd_extension(args: argparse.Namespace) -> int:
         "policies": extensions.extended_policy_comparison,
         "energy": extensions.energy_comparison,
     }[args.study]
-    print(render_table(fn(runner=_runner_from_args(args), seed=args.seed)))
+    print(render_table(fn(engine=_engine_from_args(args), seed=args.seed)))
     return 0
 
 
@@ -387,12 +389,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.core.dynamics import parse_dynamics_arg
-    from repro.experiments.scenarios import (
-        available_scenarios,
-        get_scenario,
-        run_scenario,
-    )
-    from repro.experiments.sweep import SweepEngine
+    from repro.experiments.scenarios import available_scenarios, get_scenario
 
     if args.action == "list":
         for name in available_scenarios():
@@ -423,16 +420,12 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"bad --dynamics spec: {exc}", file=sys.stderr)
             return 2
-    engine = SweepEngine(
-        workers=args.workers, cache_dir=args.cache_dir, use_cache=not args.no_cache
-    )
+    specs = [get_scenario(name) for name in names]
+    if dynamics_override is not None:
+        specs = [dataclasses.replace(spec, dynamics=dynamics_override) for spec in specs]
     out_dir = Path(args.results_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name in names:
-        spec = get_scenario(name)
-        if dynamics_override is not None:
-            spec = dataclasses.replace(spec, dynamics=dynamics_override)
-        outcome = run_scenario(spec, engine=engine)
+    for name, outcome in zip(names, run_scenarios(specs, _engine_from_args(args))):
         text = render_table(outcome.table())
         print(text)
         print()
@@ -449,7 +442,6 @@ def _cmd_load_sweep(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.experiments.load_sweep import load_sweep
-    from repro.experiments.sweep import SweepEngine
 
     try:
         policies = tuple(p.strip() for p in args.policies.split(",") if p.strip())
@@ -457,9 +449,6 @@ def _cmd_load_sweep(args: argparse.Namespace) -> int:
     except ValueError:
         print("could not parse --policies / --rates-per-s", file=sys.stderr)
         return 2
-    engine = SweepEngine(
-        workers=args.workers, cache_dir=args.cache_dir, use_cache=not args.no_cache
-    )
     sweep = load_sweep(
         policies=policies,
         rates_per_s=rates,
@@ -467,7 +456,7 @@ def _cmd_load_sweep(args: argparse.Namespace) -> int:
         seed=args.seed,
         profile=args.profile,
         apt_alpha=args.alpha,
-        engine=engine,
+        engine=_engine_from_args(args),
     )
     text = render_table(sweep.table())
     print(text)

@@ -134,12 +134,7 @@ from repro.core.dynamics import (
     StreamAdmission,
     build_dynamics,
 )
-from repro.core.energy import (
-    DEFAULT_POWER_MODEL,
-    EnergyReport,
-    PowerModel,
-    energy_from_metrics,
-)
+from repro.core.energy import EnergyReport, energy_from_metrics
 from repro.core.engine import EngineCore, RuntimeDynamics, SchedulingError
 from repro.core.lookup import LookupTable
 from repro.core.metrics import (
@@ -273,10 +268,10 @@ class Simulator:
         their declarative :class:`~repro.core.dynamics.DynamicsSpec`
         forms) appended to the standard stack on every run — fault
         injection, preemption, or custom layers.
-    power_model:
-        Power model for the energy report of ``run_stream`` results
-        (default: the paper-device :data:`~repro.core.energy.
-        DEFAULT_POWER_MODEL`).
+
+    ``run_stream`` prices its energy report with the paper-device
+    :data:`~repro.core.energy.DEFAULT_POWER_MODEL`, as every sweep job
+    does.
     """
 
     def __init__(
@@ -290,7 +285,6 @@ class Simulator:
         exec_noise_sigma: float = 0.0,
         noise_seed: int = 0,
         dynamics: "Sequence[RuntimeDynamics | DynamicsSpec] | None" = None,
-        power_model: PowerModel | None = None,
     ) -> None:
         if exec_noise_sigma < 0:
             raise ValueError("exec_noise_sigma must be >= 0")
@@ -323,7 +317,6 @@ class Simulator:
         self.exec_noise_sigma = float(exec_noise_sigma)
         self.noise_seed = int(noise_seed)
         self.dynamics = tuple(dynamics or ())
-        self.power_model = power_model if power_model is not None else DEFAULT_POWER_MODEL
 
     # ------------------------------------------------------------------
     # engine assembly
@@ -521,9 +514,7 @@ class Simulator:
                 policy_stats=result.policy_stats,
                 source_name=source.name,
                 trace=result.trace if retain_schedule else None,
-                energy=energy_from_metrics(
-                    result.metrics, self.system, self.power_model
-                ),
+                energy=energy_from_metrics(result.metrics, self.system),
                 dynamics_stats=result.dynamics_stats,
             )
 
@@ -571,7 +562,7 @@ class Simulator:
             trace=StateTrace.from_schedule(schedule, self.system)
             if self.collect_trace and schedule is not None
             else None,
-            energy=energy_from_metrics(metrics, self.system, self.power_model),
+            energy=energy_from_metrics(metrics, self.system),
             dynamics_stats=engine.dynamics_stats(),
         )
 

@@ -7,13 +7,13 @@ workload × policies × settings × dynamics), expanded into sweep jobs by
 
 * :mod:`repro.experiments.workloads` — the seeded 10-graph evaluation
   suites for DFG Type-1 and Type-2 and the declarative workload kinds;
-* :mod:`repro.experiments.scenarios` — ``ScenarioSpec`` and the
-  registered scenario catalog;
+* :mod:`repro.experiments.scenarios` — ``ScenarioSpec``, the registered
+  scenario catalog and ``run_scenarios``, the one way a grid runs;
 * :mod:`repro.experiments.sweep` — the parallel sweep engine:
-  serializable jobs, serial/multiprocessing executors, content-hash
-  result cache;
-* :mod:`repro.experiments.runner` — the paper's accounting over scenario
-  grids on the flat CPU+GPU+FPGA platform;
+  serializable jobs, content-hash result cache, inline or
+  multiprocessing execution;
+* :mod:`repro.experiments.runner` — the paper's flat CPU+GPU+FPGA
+  platform and grid axes as scenario specs;
 * :mod:`repro.experiments.tables` — Tables 8–13, 15, 16;
 * :mod:`repro.experiments.figures` — Figures 5–12;
 * :mod:`repro.experiments.ablations` — our additional design-choice
@@ -27,7 +27,6 @@ from repro.experiments.workloads import (
     paper_type2_suite,
     paper_suite,
 )
-from repro.experiments.runner import ExperimentRunner, RunRecord
 from repro.experiments.sweep import (
     JobResult,
     PolicySpec,
@@ -45,8 +44,6 @@ __all__ = [
     "paper_type1_suite",
     "paper_type2_suite",
     "paper_suite",
-    "ExperimentRunner",
-    "RunRecord",
     "JobResult",
     "PolicySpec",
     "ResultCache",

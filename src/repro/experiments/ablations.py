@@ -11,18 +11,20 @@ Three knobs docs/architecture.md flags as load-bearing:
    (:class:`~repro.policies.apt_rt.APT_RT`) only diverts when the
    alternative actually finishes before the busy best processor would.
 
-All studies run through the shared :class:`ExperimentRunner`, so they
-inherit its result cache and worker pool.  The longest-first variant is
-registered under ``"apt_longest_first"`` with this module as its
-:class:`~repro.experiments.sweep.PolicySpec` provider, which is what lets
-sweep worker processes reconstruct it.
+All studies run through :func:`~repro.experiments.scenarios.
+run_scenarios` on a shared :class:`~repro.experiments.sweep.SweepEngine`,
+so they inherit its result cache and worker pool.  The longest-first
+variant is registered under ``"apt_longest_first"`` with this module as
+its :class:`~repro.experiments.sweep.PolicySpec` provider, which is what
+lets sweep worker processes reconstruct it.
 """
 
 from __future__ import annotations
 
 from repro.experiments.report import TableResult
-from repro.experiments.runner import PAPER_ALPHAS, ExperimentRunner, paper_spec
-from repro.experiments.sweep import PolicySpec
+from repro.experiments.runner import PAPER_ALPHAS, mean, paper_spec
+from repro.experiments.scenarios import run_scenarios
+from repro.experiments.sweep import PolicySpec, SweepEngine
 from repro.experiments.workloads import DEFAULT_SEED
 from repro.policies.apt import APT
 from repro.policies.base import Assignment, SchedulingContext
@@ -55,29 +57,29 @@ _PROVIDER = __name__
 
 
 def _mean_makespans(
-    runner: ExperimentRunner,
+    engine: SweepEngine | None,
     policies: list[PolicySpec],
     seed: int,
     rate_gbps: float,
 ) -> dict[int, list[float]]:
     """Per DFG type, the suite-mean makespan of each policy (one batch)."""
-    grids = runner.run(
-        [paper_spec(dfg_type, policies, seed, rate_gbps) for dfg_type in (1, 2)]
+    outcomes = run_scenarios(
+        [paper_spec(dfg_type, policies, seed, rate_gbps) for dfg_type in (1, 2)],
+        engine,
     )
     return {
-        dfg_type: [runner.mean([r.makespan for r in recs]) for recs in grid]
-        for dfg_type, grid in zip((1, 2), grids)
+        dfg_type: [mean([r.makespan for r in recs]) for recs in outcome.by_policy()]
+        for dfg_type, outcome in zip((1, 2), outcomes)
     }
 
 
 def ablate_transfer_term(
-    runner: ExperimentRunner | None = None,
+    engine: SweepEngine | None = None,
     seed: int = DEFAULT_SEED,
     alphas: tuple[float, ...] = PAPER_ALPHAS,
     rate_gbps: float = 4.0,
 ) -> TableResult:
     """With vs without the transfer term in APT's threshold test."""
-    runner = runner if runner is not None else ExperimentRunner()
     # note: no explicit include_transfer=True — defaulted params would
     # change the content hash and miss the cache entries the paper
     # tables already produced for the identical simulation.
@@ -89,7 +91,7 @@ def ablate_transfer_term(
             PolicySpec.of("apt", alpha=alpha, include_transfer=False),
         )
     ]
-    means = _mean_makespans(runner, policies, seed, rate_gbps)
+    means = _mean_makespans(engine, policies, seed, rate_gbps)
     rows = []
     for dfg_type in (1, 2):
         for pos, alpha in enumerate(alphas):
@@ -106,18 +108,17 @@ def ablate_transfer_term(
 
 
 def ablate_queue_discipline(
-    runner: ExperimentRunner | None = None,
+    engine: SweepEngine | None = None,
     seed: int = DEFAULT_SEED,
     alpha: float = 4.0,
     rate_gbps: float = 4.0,
 ) -> TableResult:
     """FCFS (the paper) vs longest-best-case-first ready-queue order."""
-    runner = runner if runner is not None else ExperimentRunner()
     policies = [
         PolicySpec.of("apt", alpha=alpha),
         PolicySpec.of("apt_longest_first", alpha=alpha, provider=_PROVIDER),
     ]
-    means = _mean_makespans(runner, policies, seed, rate_gbps)
+    means = _mean_makespans(engine, policies, seed, rate_gbps)
     rows = []
     for dfg_type in (1, 2):
         fcfs, longest = means[dfg_type]
@@ -133,19 +134,18 @@ def ablate_queue_discipline(
 
 
 def ablate_remaining_time(
-    runner: ExperimentRunner | None = None,
+    engine: SweepEngine | None = None,
     seed: int = DEFAULT_SEED,
     alphas: tuple[float, ...] = PAPER_ALPHAS,
     rate_gbps: float = 4.0,
 ) -> TableResult:
     """APT vs APT-RT (the paper's future-work extension) across α."""
-    runner = runner if runner is not None else ExperimentRunner()
     policies = [
         spec
         for alpha in alphas
         for spec in (PolicySpec.of("apt", alpha=alpha), PolicySpec.of("apt_rt", alpha=alpha))
     ]
-    means = _mean_makespans(runner, policies, seed, rate_gbps)
+    means = _mean_makespans(engine, policies, seed, rate_gbps)
     rows = []
     for dfg_type in (1, 2):
         for pos, alpha in enumerate(alphas):

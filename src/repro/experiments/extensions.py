@@ -15,11 +15,11 @@ Three studies the paper motivates but does not run:
    over each policy's schedules.
 
 Every study (and the heterogeneity and estimation-error studies below)
-describes its grid as scenario specs on the flat platform and submits
-them through an :class:`ExperimentRunner` as one engine batch — one
-runner per β for the heterogeneity sweep, since each β prices the suite
-with its own table — so they parallelize across workers and memoize in
-the result cache like the paper tables do.
+describes its grid as scenario specs on the flat platform and runs them
+through :func:`~repro.experiments.scenarios.run_scenarios` as one engine
+batch — one batch per β for the heterogeneity sweep, since each β prices
+the suite with its own table — so they parallelize across workers and
+memoize in the result cache like the paper tables do.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from __future__ import annotations
 from repro.core.lookup import scale_heterogeneity
 from repro.data.paper_tables import paper_lookup_table
 from repro.experiments.report import TableResult
-from repro.experiments.runner import ExperimentRunner, flat_spec, paper_spec
-from repro.experiments.scenarios import WorkloadSpec
-from repro.experiments.sweep import PolicySpec, SimSettings
+from repro.experiments.runner import flat_spec, mean, paper_spec
+from repro.experiments.scenarios import WorkloadSpec, run_scenarios
+from repro.experiments.sweep import PolicySpec, SimSettings, SweepEngine
 from repro.experiments.workloads import DEFAULT_SEED
 
 #: Dynamic policies eligible for online (streaming) scheduling.
@@ -39,7 +39,7 @@ EXTENDED_POLICIES = ("apt", "met", "minmin", "maxmin", "sufferage", "cpop", "hef
 
 
 def streaming_load_sweep(
-    runner: ExperimentRunner | None = None,
+    engine: SweepEngine | None = None,
     seed: int = DEFAULT_SEED,
     rate_gbps: float = 4.0,
     n_applications: int = 25,
@@ -55,9 +55,8 @@ def streaming_load_sweep(
     placement quality separates them — the regime the paper's threshold
     targets.
     """
-    runner = runner if runner is not None else ExperimentRunner()
     policies = [PolicySpec.at_alpha(name, apt_alpha) for name in STREAMING_POLICIES]
-    grids = runner.run(
+    outcomes = run_scenarios(
         [
             flat_spec(
                 f"fork_join_stream_ia{mean_ia:g}",
@@ -71,10 +70,11 @@ def streaming_load_sweep(
                 rate_gbps,
             )
             for mean_ia in mean_interarrivals_ms
-        ]
+        ],
+        engine,
     )
     rows = [
-        (name.upper(), *(grid[pos][0].makespan for grid in grids))
+        (name.upper(), *(outcome.by_policy()[pos][0].makespan for outcome in outcomes))
         for pos, name in enumerate(STREAMING_POLICIES)
     ]
     return TableResult(
@@ -90,19 +90,22 @@ def streaming_load_sweep(
 
 
 def extended_policy_comparison(
-    runner: ExperimentRunner | None = None,
+    engine: SweepEngine | None = None,
     seed: int = DEFAULT_SEED,
     rate_gbps: float = 4.0,
     apt_alpha: float = 4.0,
 ) -> TableResult:
     """Mean makespan of the extended policy pool on both paper suites."""
-    runner = runner if runner is not None else ExperimentRunner()
     policies = [PolicySpec.at_alpha(name, apt_alpha) for name in EXTENDED_POLICIES]
-    grids = runner.run(
-        [paper_spec(dfg_type, policies, seed, rate_gbps) for dfg_type in (1, 2)]
-    )
+    grids = [
+        outcome.by_policy()
+        for outcome in run_scenarios(
+            [paper_spec(dfg_type, policies, seed, rate_gbps) for dfg_type in (1, 2)],
+            engine,
+        )
+    ]
     rows = [
-        (name.upper(), *(runner.mean([r.makespan for r in grid[pos]]) for grid in grids))
+        (name.upper(), *(mean([r.makespan for r in grid[pos]]) for grid in grids))
         for pos, name in enumerate(EXTENDED_POLICIES)
     ]
     return TableResult(
@@ -140,12 +143,14 @@ def heterogeneity_sweep(
     spec = paper_spec(2, policies, seed, rate_gbps, n_graphs=n_graphs)
     rows = []
     for beta in betas:
-        # one runner per β: each cell prices the suite with its own table
-        runner = ExperimentRunner(lookup=scale_heterogeneity(paper_lookup_table(), beta))
-        [[met_records, *apt_records]] = runner.run([spec])
-        met = runner.mean([r.makespan for r in met_records])
+        # one batch per β: each cell prices the suite with its own table
+        [outcome] = run_scenarios(
+            [spec], lookup=scale_heterogeneity(paper_lookup_table(), beta)
+        )
+        met_records, *apt_records = outcome.by_policy()
+        met = mean([r.makespan for r in met_records])
         by_alpha = {
-            alpha: runner.mean([r.makespan for r in records])
+            alpha: mean([r.makespan for r in records])
             for alpha, records in zip(alphas, apt_records)
         }
         best_alpha = min(by_alpha, key=lambda a: by_alpha[a])
@@ -176,7 +181,7 @@ def estimation_error_robustness(
     apt_alpha: float = 4.0,
     n_graphs: int = 5,
     n_noise_seeds: int = 3,
-    runner: ExperimentRunner | None = None,
+    engine: SweepEngine | None = None,
 ) -> TableResult:
     """APT-vs-MET improvement when actual runtimes deviate from the table.
 
@@ -185,14 +190,13 @@ def estimation_error_robustness(
     of parameter σ.  Both policies face identical perturbed kernels, so
     the comparison isolates decision quality under estimation error.
     """
-    runner = runner if runner is not None else ExperimentRunner()
     policies = [PolicySpec.of("apt", alpha=apt_alpha), PolicySpec.of("met")]
     cells = [
         (sigma, noise_seed)
         for sigma in sigmas
         for noise_seed in range(n_noise_seeds)
     ]
-    grids = runner.run(
+    outcomes = run_scenarios(
         [
             paper_spec(
                 2,
@@ -203,12 +207,14 @@ def estimation_error_robustness(
                 settings=SimSettings(exec_noise_sigma=sigma, noise_seed=noise_seed),
             )
             for sigma, noise_seed in cells
-        ]
+        ],
+        engine,
     )
     rows = []
     for sigma in sigmas:
         apt_total, met_total = 0.0, 0.0
-        for (s, _), (apt, met) in zip(cells, grids):
+        for (s, _), outcome in zip(cells, outcomes):
+            apt, met = outcome.by_policy()
             if s != sigma:
                 continue
             apt_total += sum(r.makespan for r in apt)
@@ -233,24 +239,18 @@ def estimation_error_robustness(
 
 
 def energy_comparison(
-    runner: ExperimentRunner | None = None,
+    engine: SweepEngine | None = None,
     seed: int = DEFAULT_SEED,
     rate_gbps: float = 4.0,
     dfg_type: int = 2,
     apt_alpha: float = 4.0,
     policies: tuple[str, ...] = ("apt", "met", "spn", "heft", "peft"),
 ) -> TableResult:
-    """Total energy and energy-delay product per policy over a suite.
-
-    The makespan column includes ``runner``'s static-planning overhead
-    (zero by default) for HEFT/PEFT; energy and EDP are the simulated
-    schedule's and do not.
-    """
-    runner = runner if runner is not None else ExperimentRunner()
+    """Total energy and energy-delay product per policy over a suite."""
     specs = [PolicySpec.at_alpha(name, apt_alpha) for name in policies]
-    [grid] = runner.run([paper_spec(dfg_type, specs, seed, rate_gbps)])
+    [outcome] = run_scenarios([paper_spec(dfg_type, specs, seed, rate_gbps)], engine)
     rows = []
-    for name, chunk in zip(policies, grid):
+    for name, chunk in zip(policies, outcome.by_policy()):
         n = len(chunk)
         rows.append(
             (

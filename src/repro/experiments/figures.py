@@ -14,13 +14,9 @@ from repro.core.simulator import SimulationResult, Simulator
 from repro.core.system import CPU_GPU_FPGA
 from repro.data.paper_tables import FIGURE5_KERNELS, figure5_lookup_table
 from repro.experiments.report import FigureResult
-from repro.experiments.runner import (
-    PAPER_ALPHAS,
-    PAPER_RATES_GBPS,
-    ExperimentRunner,
-    paper_spec,
-)
-from repro.experiments.sweep import PolicySpec
+from repro.experiments.runner import PAPER_ALPHAS, PAPER_RATES_GBPS, mean, paper_spec
+from repro.experiments.scenarios import run_scenarios
+from repro.experiments.sweep import PolicySpec, SweepEngine
 from repro.experiments.workloads import DEFAULT_SEED
 from repro.graphs.dfg import DFG
 from repro.policies.apt import APT
@@ -74,17 +70,16 @@ def figure5_schedule_example(alpha: float = 8.0) -> ScheduleExample:
 def _top4_figure(
     title: str,
     dfg_type: int,
-    runner: ExperimentRunner | None,
+    engine: SweepEngine | None,
     seed: int,
     apt_alpha: float,
     rate_gbps: float,
 ) -> FigureResult:
-    runner = runner if runner is not None else ExperimentRunner()
     policies = [PolicySpec.at_alpha(name, apt_alpha) for name in TOP4_POLICIES]
-    [by_policy] = runner.run([paper_spec(dfg_type, policies, seed, rate_gbps)])
+    [outcome] = run_scenarios([paper_spec(dfg_type, policies, seed, rate_gbps)], engine)
     means = {
-        name.upper(): (runner.mean([r.makespan for r in recs]),)
-        for name, recs in zip(TOP4_POLICIES, by_policy)
+        name.upper(): (mean([r.makespan for r in recs]),)
+        for name, recs in zip(TOP4_POLICIES, outcome.by_policy())
     }
     return FigureResult(
         title=title,
@@ -96,7 +91,7 @@ def _top4_figure(
 
 
 def figure6(
-    runner: ExperimentRunner | None = None,
+    engine: SweepEngine | None = None,
     seed: int = DEFAULT_SEED,
     rate_gbps: float = 4.0,
 ) -> FigureResult:
@@ -104,7 +99,7 @@ def figure6(
     return _top4_figure(
         "Figure 6 — Avg execution time, top-4 policies, DFG Type-1 (α=1.5)",
         dfg_type=1,
-        runner=runner,
+        engine=engine,
         seed=seed,
         apt_alpha=1.5,
         rate_gbps=rate_gbps,
@@ -112,7 +107,7 @@ def figure6(
 
 
 def figure8_top4(
-    runner: ExperimentRunner | None = None,
+    engine: SweepEngine | None = None,
     seed: int = DEFAULT_SEED,
     rate_gbps: float = 4.0,
 ) -> FigureResult:
@@ -120,7 +115,7 @@ def figure8_top4(
     return _top4_figure(
         "Figure 8 — Avg execution time, top-4 policies, DFG Type-2 (α=1.5)",
         dfg_type=2,
-        runner=runner,
+        engine=engine,
         seed=seed,
         apt_alpha=1.5,
         rate_gbps=rate_gbps,
@@ -131,19 +126,20 @@ def _alpha_rate_figure(
     title: str,
     dfg_type: int,
     metric: str,
-    runner: ExperimentRunner | None,
+    engine: SweepEngine | None,
     seed: int,
     alphas: tuple[float, ...],
     rates: tuple[float, ...],
 ) -> FigureResult:
-    runner = runner if runner is not None else ExperimentRunner()
     apts = [PolicySpec.of("apt", alpha=alpha) for alpha in alphas]
-    grids = runner.run([paper_spec(dfg_type, apts, seed, rate) for rate in rates])
+    outcomes = run_scenarios(
+        [paper_spec(dfg_type, apts, seed, rate) for rate in rates], engine
+    )
     series = {
         f"{rate:g} GBps": tuple(
-            runner.mean([getattr(r, metric) for r in recs]) for recs in grid
+            mean([getattr(r, metric) for r in recs]) for recs in outcome.by_policy()
         )
-        for rate, grid in zip(rates, grids)
+        for rate, outcome in zip(rates, outcomes)
     }
     return FigureResult(
         title=title,
@@ -155,7 +151,7 @@ def _alpha_rate_figure(
 
 
 def figure7(
-    runner: ExperimentRunner | None = None,
+    engine: SweepEngine | None = None,
     seed: int = DEFAULT_SEED,
     alphas: tuple[float, ...] = PAPER_ALPHAS,
     rates: tuple[float, ...] = PAPER_RATES_GBPS,
@@ -165,7 +161,7 @@ def figure7(
         "Figure 7 — APT avg execution time vs α and transfer rate, DFG Type-1",
         dfg_type=1,
         metric="makespan",
-        runner=runner,
+        engine=engine,
         seed=seed,
         alphas=alphas,
         rates=rates,
@@ -173,7 +169,7 @@ def figure7(
 
 
 def figure9(
-    runner: ExperimentRunner | None = None,
+    engine: SweepEngine | None = None,
     seed: int = DEFAULT_SEED,
     alphas: tuple[float, ...] = PAPER_ALPHAS,
     rates: tuple[float, ...] = PAPER_RATES_GBPS,
@@ -183,7 +179,7 @@ def figure9(
         "Figure 9 — APT avg execution time vs α and transfer rate, DFG Type-2",
         dfg_type=2,
         metric="makespan",
-        runner=runner,
+        engine=engine,
         seed=seed,
         alphas=alphas,
         rates=rates,
@@ -193,14 +189,14 @@ def figure9(
 def figure10_apt_vs_met(
     dfg_type: int = 2,
     alpha: float = 4.0,
-    runner: ExperimentRunner | None = None,
+    engine: SweepEngine | None = None,
     seed: int = DEFAULT_SEED,
     rate_gbps: float = 4.0,
 ) -> FigureResult:
     """Figures 8/10 (per-experiment): APT(α=4) vs MET makespans per graph."""
-    runner = runner if runner is not None else ExperimentRunner()
     policies = [PolicySpec.of("apt", alpha=alpha), PolicySpec.of("met")]
-    [[apt, met]] = runner.run([paper_spec(dfg_type, policies, seed, rate_gbps)])
+    [outcome] = run_scenarios([paper_spec(dfg_type, policies, seed, rate_gbps)], engine)
+    apt, met = outcome.by_policy()
     return FigureResult(
         title=(
             f"Figure 10 — Execution time per experiment, MET vs APT (α={alpha}), "
@@ -217,7 +213,7 @@ def figure10_apt_vs_met(
 
 
 def figure11(
-    runner: ExperimentRunner | None = None,
+    engine: SweepEngine | None = None,
     seed: int = DEFAULT_SEED,
     alphas: tuple[float, ...] = PAPER_ALPHAS,
     rates: tuple[float, ...] = PAPER_RATES_GBPS,
@@ -227,7 +223,7 @@ def figure11(
         "Figure 11 — APT avg λ delay vs α and transfer rate, DFG Type-1",
         dfg_type=1,
         metric="total_lambda",
-        runner=runner,
+        engine=engine,
         seed=seed,
         alphas=alphas,
         rates=rates,
@@ -235,7 +231,7 @@ def figure11(
 
 
 def figure12(
-    runner: ExperimentRunner | None = None,
+    engine: SweepEngine | None = None,
     seed: int = DEFAULT_SEED,
     alphas: tuple[float, ...] = PAPER_ALPHAS,
     rates: tuple[float, ...] = PAPER_RATES_GBPS,
@@ -245,7 +241,7 @@ def figure12(
         "Figure 12 — APT avg λ delay vs α and transfer rate, DFG Type-2",
         dfg_type=2,
         metric="total_lambda",
-        runner=runner,
+        engine=engine,
         seed=seed,
         alphas=alphas,
         rates=rates,

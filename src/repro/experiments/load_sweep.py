@@ -29,7 +29,7 @@ from typing import Sequence
 from repro.core.lookup import LookupTable
 from repro.core.system import SystemConfig
 from repro.experiments.report import TableResult
-from repro.experiments.scenarios import ScenarioSpec, WorkloadSpec
+from repro.experiments.scenarios import ScenarioSpec, WorkloadSpec, run_scenarios
 from repro.experiments.sweep import (
     JobResult,
     PolicySpec,
@@ -161,7 +161,6 @@ def load_sweep(
                 "(it would plan with clairvoyant knowledge of the stream)"
             )
     platform = system_to_dict(system if system is not None else scale_system())
-    engine = engine if engine is not None else SweepEngine()
 
     scenarios = []
     for rate in rates_per_s:
@@ -205,13 +204,13 @@ def load_sweep(
             )
         )
 
-    results = engine.run_jobs([job for spec in scenarios for job in spec.jobs(lookup)])
-    cells = [(name, rate) for rate in rates_per_s for name in policies]
+    outcomes = run_scenarios(scenarios, engine, lookup)
     points = tuple(
         LoadPoint(
             policy=name, rate_per_s=rate, mean_interarrival_ms=1000.0 / rate, result=res
         )
-        for (name, rate), res in zip(cells, results)
+        for rate, outcome in zip(rates_per_s, outcomes)
+        for name, res in zip(policies, outcome.results)
     )
     return LoadSweepResult(
         profile=profile,

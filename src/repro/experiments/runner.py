@@ -1,46 +1,25 @@
-"""Experiment runner: the paper's accounting over scenario grids.
+"""The paper's platform and grid axes as scenario specs.
 
 Every table, figure, ablation and extension study describes its
 simulations as a list of :class:`~repro.experiments.scenarios.
 ScenarioSpec` items on the paper's flat ``CPU_GPU_FPGA(rate)`` platform
 (:func:`flat_spec`, :func:`paper_spec`): one spec per transfer rate,
 β or noise cell, with APT at each α just more policies of the same
-spec.  :meth:`ExperimentRunner.run` expands them through
-``ScenarioSpec.jobs`` and submits every job as one
-:class:`~repro.experiments.sweep.SweepEngine` batch, so a multi-worker
-runner parallelizes a whole artifact while staying bit-identical to a
-serial run (the simulator's determinism guarantee; asserted in
-``tests/test_sweep.py``).
-
-On top of the engine's cache the runner keeps the paper-experiment
-conventions: it turns each :class:`~repro.experiments.sweep.JobResult`
-into a flat :class:`RunRecord` row, charges static-planning overhead
-*after* cache retrieval (so runners with different accounting share
-cached raw results), and memoizes records, so a run the paper's tables
-reuse (MET appears in Tables 8–13) returns the same object twice.
+spec.  :func:`~repro.experiments.scenarios.run_scenarios` runs them as
+one :class:`~repro.experiments.sweep.SweepEngine` batch, so a
+multi-worker engine parallelizes a whole artifact while staying
+bit-identical to a serial run (the simulator's determinism guarantee;
+asserted in ``tests/test_sweep.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import islice
-from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from repro.core.lookup import LookupTable
 from repro.core.system import CPU_GPU_FPGA
-from repro.data.paper_tables import paper_lookup_table
 from repro.experiments.scenarios import ScenarioSpec, WorkloadSpec
-from repro.experiments.sweep import (
-    JobResult,
-    PolicySpec,
-    SimSettings,
-    SweepEngine,
-    SweepJob,
-    system_to_dict,
-)
+from repro.experiments.sweep import PolicySpec, SimSettings, system_to_dict
 from repro.experiments.workloads import DEFAULT_SEED
-from repro.policies.base import StaticPolicy
 
 #: Transfer rates of the evaluation: PCIe 2.0 ×8 and ×16 (§3.2).
 PAPER_RATES_GBPS = (4.0, 8.0)
@@ -48,24 +27,9 @@ PAPER_RATES_GBPS = (4.0, 8.0)
 PAPER_ALPHAS = (1.5, 2.0, 4.0, 8.0, 16.0)
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """One (graph, policy, rate) simulation outcome, flattened for tables."""
-
-    graph_index: int
-    graph_name: str
-    n_kernels: int
-    policy: str
-    alpha: float | None
-    rate_gbps: float
-    makespan: float
-    total_lambda: float
-    avg_lambda: float
-    lambda_stddev: float
-    n_alternative: int
-    alternative_by_kernel: Mapping[str, int]
-    energy_joules: float = 0.0
-    energy_delay_product: float = 0.0
+def mean(values: Sequence[float]) -> float:
+    """Arithmetic mean; 0 for an empty sequence."""
+    return sum(values) / len(values) if values else 0.0
 
 
 def flat_spec(
@@ -110,109 +74,3 @@ def paper_spec(
         rate_gbps,
         settings,
     )
-
-
-class ExperimentRunner:
-    """Runs scenario grids with the paper's simulation accounting.
-
-    Parameters
-    ----------
-    lookup:
-        Execution-time table (default: the paper's Table 14).
-    static_planning_overhead_per_kernel_ms:
-        Optional cost charged to *static* policies' makespan and λ for
-        their pre-computation phase.  The paper argues HEFT/PEFT's
-        ranking step is "very time consuming and thus cumulatively very
-        expensive" and its measured HEFT/PEFT land slightly *above*
-        MET/APT; our idealized simulator charges nothing by default, which
-        flips that ordering (see docs/architecture.md).  Set this to model the
-        paper's accounting.
-    workers:
-        Worker-pool size for the engine batches.  ``1`` (default) runs
-        serially in-process; ``None``/``0`` uses every core.
-    cache_dir:
-        Optional directory for the persistent on-disk result cache; runs
-        found there are not re-simulated (even across processes and
-        sessions).
-    use_cache:
-        ``False`` disables both the engine's memo layers (the runner's
-        own record memo stays, preserving object-identity semantics).
-    """
-
-    def __init__(
-        self,
-        lookup: LookupTable | None = None,
-        static_planning_overhead_per_kernel_ms: float = 0.0,
-        workers: int | None = 1,
-        cache_dir: str | Path | None = None,
-        use_cache: bool = True,
-    ) -> None:
-        self.lookup = lookup if lookup is not None else paper_lookup_table()
-        self.static_overhead = float(static_planning_overhead_per_kernel_ms)
-        self.engine = SweepEngine(workers=workers, cache_dir=cache_dir, use_cache=use_cache)
-        self._cache: dict[tuple, RunRecord] = {}
-        self._is_static: dict[PolicySpec, bool] = {}
-
-    def run(self, specs: Sequence[ScenarioSpec]) -> list[list[list[RunRecord]]]:
-        """Run every job of ``specs`` as one engine batch.
-
-        Returns one grid per spec: a list of records per policy, in the
-        spec's policy order, each in workload-unit (graph) order.
-
-        Repeated jobs return the identical memoized :class:`RunRecord`.
-        The memo is keyed by the job's *content hash* (plus the graph
-        index), never by graph name — suites that reuse names across
-        seeds can share a runner safely.
-        """
-        expanded = [spec.jobs(self.lookup) for spec in specs]
-        jobs = [job for spec_jobs in expanded for job in spec_jobs]
-        keys = [(job.tag["graph_index"], job.content_hash()) for job in jobs]
-        # within-batch dedupe: the engine also dedupes by content hash,
-        # but skipping duplicate conversions is cheaper.
-        fresh: dict[tuple, SweepJob] = {}
-        for key, job in zip(keys, jobs):
-            if key not in self._cache:
-                fresh.setdefault(key, job)
-        if fresh:
-            results = self.engine.run_jobs(list(fresh.values()))
-            for (key, job), result in zip(fresh.items(), results):
-                self._cache[key] = self._to_record(job, result)
-        records = iter([self._cache[key] for key in keys])
-        return [
-            [list(islice(records, len(spec_jobs) // len(spec.policies))) for _ in spec.policies]
-            for spec, spec_jobs in zip(specs, expanded)
-        ]
-
-    def _charges_overhead(self, spec: PolicySpec) -> bool:
-        if self.static_overhead == 0.0:
-            return False
-        if spec not in self._is_static:
-            self._is_static[spec] = isinstance(spec.build(), StaticPolicy)
-        return self._is_static[spec]
-
-    def _to_record(self, job: SweepJob, result: JobResult) -> RunRecord:
-        overhead = (
-            self.static_overhead * result.n_kernels
-            if self._charges_overhead(job.policy)
-            else 0.0
-        )
-        return RunRecord(
-            graph_index=int(job.tag["graph_index"]),  # type: ignore[call-overload]
-            graph_name=result.dfg_name,
-            n_kernels=result.n_kernels,
-            policy=job.policy.name,
-            alpha=job.policy.alpha,
-            rate_gbps=float(job.system["rate_gbps"]),  # type: ignore[arg-type]
-            makespan=result.makespan + overhead,
-            total_lambda=result.total_lambda + overhead,
-            avg_lambda=result.avg_lambda,
-            lambda_stddev=result.lambda_stddev,
-            n_alternative=result.n_alternative,
-            alternative_by_kernel=dict(result.alternative_by_kernel),
-            energy_joules=result.energy_joules,
-            energy_delay_product=result.energy_delay_product,
-        )
-
-    @staticmethod
-    def mean(values: Sequence[float]) -> float:
-        return sum(values) / len(values) if values else 0.0

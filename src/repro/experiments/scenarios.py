@@ -11,10 +11,10 @@ cache key or a CLI invocation equally well.
 The module ships a catalog of registered scenarios (the paper suites on
 their star-topology equivalent, a dual-socket PCIe switch tree, an
 NVLink-style GPU mesh, an edge cluster on a shared bus, and a 10k-kernel
-stream on a 12-processor fat tree) and :func:`run_scenario`, which
-expands a spec into :class:`~repro.experiments.sweep.SweepJob` items and
-executes them through the cached sweep engine — so re-running a scenario
-only simulates what changed.
+stream on a 12-processor fat tree) and :func:`run_scenarios`, the one
+way a grid runs: it expands specs into :class:`~repro.experiments.sweep.
+SweepJob` items and executes them as one batch of the cached sweep
+engine — so re-running a scenario only simulates what changed.
 
 Authoring guide with a topology cookbook: ``docs/scenarios.md``.
 """
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.core.dynamics import DynamicsSpec
@@ -212,7 +213,7 @@ def register_scenario(
 
     Used as a decorator on a zero-argument function returning a
     :class:`ScenarioSpec`.  The factory runs once at registration (specs
-    are cheap — workloads stay declarative until :func:`run_scenario`).
+    are cheap — workloads stay declarative until :func:`run_scenarios`).
     """
     spec = factory()
     if spec.name in _SCENARIOS:
@@ -261,14 +262,15 @@ class ScenarioOutcome:
 
     spec: ScenarioSpec
     results: tuple[JobResult, ...]
-    policies: tuple[PolicySpec, ...]
 
-    def by_policy(self) -> dict[str, list[JobResult]]:
-        n = len(self.results) // len(self.policies)
-        return {
-            label: list(self.results[i * n : (i + 1) * n])
-            for i, label in enumerate(policy_labels(self.policies))
-        }
+    def by_policy(self) -> list[list[JobResult]]:
+        """One list per spec policy, in grid order, each in workload-unit
+        order (a grid that lists a policy twice keeps both lists)."""
+        n = len(self.results) // len(self.spec.policies)
+        return [
+            list(self.results[i * n : (i + 1) * n])
+            for i in range(len(self.spec.policies))
+        ]
 
     def table(self) -> TableResult:
         """Mean makespan / λ / energy per policy, ready for rendering.
@@ -283,7 +285,7 @@ class ScenarioOutcome:
         faulty = any("fault" in r.dynamics for r in self.results)
         preemptive = any("preempt" in r.dynamics for r in self.results)
         rows = []
-        for name, results in self.by_policy().items():
+        for name, results in zip(policy_labels(self.spec.policies), self.by_policy()):
             base, sep, rest = name.partition("(")
             n = len(results)
             row = [
@@ -323,18 +325,33 @@ class ScenarioOutcome:
         )
 
 
+def run_scenarios(
+    specs: Sequence[ScenarioSpec],
+    engine: SweepEngine | None = None,
+    lookup: LookupTable | None = None,
+) -> list[ScenarioOutcome]:
+    """Run every job of ``specs`` as one batch of the (cached, parallel)
+    sweep engine, so a multi-worker engine parallelizes the whole grid;
+    one outcome per spec, in order."""
+    engine = engine if engine is not None else SweepEngine()
+    lookup = lookup if lookup is not None else paper_lookup_table()
+    expanded = [spec.jobs(lookup) for spec in specs]
+    results = iter(engine.run_jobs([job for jobs in expanded for job in jobs]))
+    return [
+        ScenarioOutcome(spec=spec, results=tuple(islice(results, len(jobs))))
+        for spec, jobs in zip(specs, expanded)
+    ]
+
+
 def run_scenario(
     scenario: "str | ScenarioSpec",
     engine: SweepEngine | None = None,
     lookup: LookupTable | None = None,
 ) -> ScenarioOutcome:
-    """Execute a scenario through the (cached, parallel) sweep engine."""
+    """Run one scenario (a registered name or a spec)."""
     spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
-    engine = engine if engine is not None else SweepEngine()
-    results = engine.run_jobs(spec.jobs(lookup))
-    return ScenarioOutcome(
-        spec=spec, results=tuple(results), policies=spec.policies
-    )
+    [outcome] = run_scenarios([spec], engine, lookup)
+    return outcome
 
 
 # ----------------------------------------------------------------------
@@ -673,4 +690,5 @@ __all__ = [
     "policy_labels",
     "register_scenario",
     "run_scenario",
+    "run_scenarios",
 ]

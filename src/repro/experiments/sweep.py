@@ -14,16 +14,15 @@ turns that unit into a first-class, serializable **job** and provides
 * :class:`ResultCache` — an on-disk JSON store keyed by the job's
   content hash, so re-running a table or figure only simulates what
   changed;
-* :class:`SerialExecutor` / :class:`ProcessPoolExecutor` — pluggable
-  execution backends; the pool backend fans jobs out over a
-  ``multiprocessing`` worker pool;
 * :class:`SweepEngine` — orchestration: dedupe → cache lookup →
-  execute missing jobs → write back, preserving request order.
+  execute missing jobs (inline, or over a ``multiprocessing`` pool when
+  it has more than one worker) → write back, preserving request order.
 
 Jobs are described declaratively one level up: every experiment is a
 :class:`~repro.experiments.scenarios.ScenarioSpec`, and
 ``ScenarioSpec.jobs`` is the one place that builds jobs (through
-:func:`make_job`).
+:func:`make_job`).  :func:`~repro.experiments.scenarios.run_scenarios`
+is the one caller of :meth:`SweepEngine.run_jobs`.
 
 Determinism contract
 --------------------
@@ -47,7 +46,7 @@ import tempfile
 import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 try:  # pragma: no cover - fcntl is stdlib on every POSIX platform
     import fcntl
@@ -621,106 +620,25 @@ def execute_payload(payload: Mapping[str, object]) -> dict[str, object]:
 
 
 # ----------------------------------------------------------------------
-# executors
+# execution
 # ----------------------------------------------------------------------
-#: Progress hook: called as ``progress(done, total)`` after each payload
-#: completes (and, at the engine level, once for the cache-hit batch).
-ProgressHook = Callable[[int, int], None]
+def _execute(
+    payloads: Sequence[Mapping[str, object]], workers: int
+) -> list[dict[str, object]]:
+    """Run ``payloads`` in order: inline for one worker or one payload,
+    else over a ``multiprocessing`` pool.
 
-#: Cancellation hook: polled between payloads; truthy → stop the sweep.
-CancelHook = Callable[[], bool]
-
-
-class SweepCancelled(RuntimeError):
-    """Raised when a sweep stops at a cancellation point.
-
-    Carries how much work finished before the stop plus the result
-    records produced so far (``partial``, in payload order), so callers
-    up the stack can still cache completed work: a cancelled sweep is
-    never lost work, and a re-run resumes from the cache.
+    A worker exception propagates to the caller — a sweep never silently
+    returns partial or fabricated results.
     """
-
-    def __init__(
-        self,
-        done: int,
-        total: int,
-        partial: Sequence[Mapping[str, object]] = (),
-    ) -> None:
-        super().__init__(f"sweep cancelled after {done}/{total} jobs")
-        self.done = done
-        self.total = total
-        self.partial = list(partial)
-
-
-class SerialExecutor:
-    """Run jobs one after another in the calling process."""
-
-    workers = 1
-
-    def run(
-        self,
-        payloads: Sequence[Mapping[str, object]],
-        progress: ProgressHook | None = None,
-        cancel: CancelHook | None = None,
-    ) -> list[dict[str, object]]:
-        total = len(payloads)
-        results: list[dict[str, object]] = []
-        for payload in payloads:
-            if cancel is not None and cancel():
-                raise SweepCancelled(len(results), total, partial=results)
-            results.append(execute_payload(payload))
-            if progress is not None:
-                progress(len(results), total)
-        return results
-
-
-class ProcessPoolExecutor:
-    """Fan jobs out over a ``multiprocessing`` pool.
-
-    A worker exception cancels the batch and propagates to the caller —
-    a sweep never silently returns partial or fabricated results.
-    Batches of one job (or ``workers=1``) run inline to skip pool
-    startup cost.
-
-    ``cancel`` is polled between completed payloads; when it fires the
-    pool is torn down (in-flight workers are terminated by the context
-    manager) and :class:`SweepCancelled` propagates with the count of
-    payloads that completed first.
-    """
-
-    def __init__(self, workers: int) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = int(workers)
-
-    def run(
-        self,
-        payloads: Sequence[Mapping[str, object]],
-        progress: ProgressHook | None = None,
-        cancel: CancelHook | None = None,
-    ) -> list[dict[str, object]]:
-        if self.workers == 1 or len(payloads) <= 1:
-            return SerialExecutor().run(payloads, progress=progress, cancel=cancel)
-        total = len(payloads)
-        if cancel is not None and cancel():
-            raise SweepCancelled(0, total)
-        ctx = multiprocessing.get_context()
-        results: list[dict[str, object]] = []
-        with ctx.Pool(processes=min(self.workers, total)) as pool:
-            # chunksize=1: jobs vary widely in cost (46..157-kernel graphs),
-            # so fine-grained dispatch load-balances the pool.  imap (not
-            # map) keeps the parent in the loop between completions — the
-            # seam where progress is reported and cancellation observed.
-            # imap preserves input order, so ``results[:n]`` always pairs
-            # with ``payloads[:n]`` — the invariant SweepCancelled.partial
-            # relies on.
-            for record in pool.imap(execute_payload, list(payloads), chunksize=1):
-                results.append(record)
-                if progress is not None:
-                    progress(len(results), total)
-                if cancel is not None and cancel() and len(results) < total:
-                    raise SweepCancelled(len(results), total, partial=results)
-        return results
+    if workers == 1 or len(payloads) <= 1:
+        return [execute_payload(payload) for payload in payloads]
+    processes = min(workers, len(payloads))
+    with multiprocessing.get_context().Pool(processes=processes) as pool:
+        # chunksize=1: jobs vary widely in cost (46..157-kernel graphs),
+        # so fine-grained dispatch load-balances the pool; imap keeps
+        # input order.
+        return list(pool.imap(execute_payload, payloads, chunksize=1))
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -916,41 +834,24 @@ class SweepEngine:
         cache_dir: str | Path | None = None,
         use_cache: bool = True,
     ) -> None:
-        self.executor = ProcessPoolExecutor(resolve_workers(workers))
+        self.workers = resolve_workers(workers)
         self.use_cache = bool(use_cache)
         self.disk = ResultCache(cache_dir) if (cache_dir and self.use_cache) else None
         self._memory: dict[str, JobResult] = {}
         self.stats = SweepStats()
 
-    @property
-    def workers(self) -> int:
-        return self.executor.workers
-
-    def run_jobs(
-        self,
-        jobs: Sequence[SweepJob],
-        progress: ProgressHook | None = None,
-        cancel: CancelHook | None = None,
-    ) -> list[JobResult]:
+    def run_jobs(self, jobs: Sequence[SweepJob]) -> list[JobResult]:
         """Execute (or recall) every job, preserving request order.
 
         Duplicate jobs within a batch are simulated once.  Results of
         fresh simulations are written to both cache layers.
-
-        ``progress`` is called as ``progress(done, total)`` over the
-        *deduplicated* work: once after the cache-resolution phase
-        (counting every hit at once) and once per executed payload.
-        ``cancel`` is polled between payloads; a truthy return raises
-        :class:`SweepCancelled` — results already produced stay cached,
-        so a re-run resumes where the cancellation landed.
         """
         hashes = [job.content_hash() for job in jobs]
         self.stats.requested += len(jobs)
         resolved: dict[str, JobResult] = {}
-        pending: list[tuple[str, SweepJob]] = []
-        pending_keys: set[str] = set()
+        pending: dict[str, SweepJob] = {}
         for key, job in zip(hashes, jobs):
-            if key in resolved or key in pending_keys:
+            if key in resolved or key in pending:
                 self.stats.memory_hits += 1
                 continue
             if self.use_cache:
@@ -967,43 +868,17 @@ class SweepEngine:
                         self._memory[key] = result
                         self.stats.disk_hits += 1
                         continue
-            pending.append((key, job))
-            pending_keys.add(key)
-        total = len(resolved) + len(pending)
-        if progress is not None and resolved:
-            progress(len(resolved), total)
-        if pending:
-            hits = len(resolved)
-
-            def _executor_progress(done: int, _total: int) -> None:
-                if progress is not None:
-                    progress(hits + done, total)
-
-            payloads = [job.runnable_payload() for _, job in pending]
-            try:
-                outputs = self.executor.run(
-                    payloads, progress=_executor_progress, cancel=cancel
-                )
-            except SweepCancelled as exc:
-                # cancelled mid-batch: completed payloads are still real
-                # results — cache them so a re-run resumes, not restarts.
-                self.stats.simulated += exc.done
-                if self.use_cache:
-                    for (key, _), record in zip(pending, exc.partial):
-                        self._memory[key] = JobResult.from_dict(record)
-                        if self.disk is not None:
-                            self.disk.put(key, record)
-                raise SweepCancelled(
-                    hits + exc.done, total, partial=exc.partial
-                ) from None
-            self.stats.simulated += len(outputs)
-            for (key, _), record in zip(pending, outputs):
-                result = JobResult.from_dict(record)
-                resolved[key] = result
-                if self.use_cache:
-                    self._memory[key] = result
-                    if self.disk is not None:
-                        self.disk.put(key, record)
+            pending[key] = job
+        payloads = [job.runnable_payload() for job in pending.values()]
+        outputs = _execute(payloads, self.workers)
+        self.stats.simulated += len(outputs)
+        for key, record in zip(pending, outputs):
+            result = JobResult.from_dict(record)
+            resolved[key] = result
+            if self.use_cache:
+                self._memory[key] = result
+                if self.disk is not None:
+                    self.disk.put(key, record)
         return [resolved[key] for key in hashes]
 
 
@@ -1015,10 +890,7 @@ __all__ = [
     "SweepJob",
     "JobResult",
     "SweepStats",
-    "SweepCancelled",
     "SweepEngine",
-    "SerialExecutor",
-    "ProcessPoolExecutor",
     "FileLock",
     "ResultCache",
     "app_spans_to_payload",

@@ -5,8 +5,9 @@ with the same rows/columns as the paper.  Absolute milliseconds differ
 from the published numbers because the ten random graphs are regenerated
 (see docs/architecture.md); the benchmark harness asserts the *shape* instead.
 
-All functions accept a shared :class:`ExperimentRunner` so repeated runs
-are memoized across tables.
+All functions accept a shared :class:`~repro.experiments.sweep.
+SweepEngine`, whose memo serves a simulation that several tables share
+(MET appears in Tables 8–13) once.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from typing import Sequence
 
 from repro.analysis.stats import improvement_percent
 from repro.experiments.report import TableResult
-from repro.experiments.runner import PAPER_ALPHAS, ExperimentRunner, RunRecord, paper_spec
-from repro.experiments.sweep import PolicySpec
+from repro.experiments.runner import PAPER_ALPHAS, paper_spec
+from repro.experiments.scenarios import run_scenarios
+from repro.experiments.sweep import JobResult, PolicySpec, SweepEngine
 from repro.experiments.workloads import DEFAULT_SEED
 
 #: Column order of the paper's makespan/λ tables.
@@ -30,16 +32,15 @@ def _policy_table(
     dfg_type: int,
     apt_alpha: float,
     metric: str,
-    runner: ExperimentRunner | None,
+    engine: SweepEngine | None,
     seed: int,
     rate_gbps: float,
 ) -> TableResult:
-    runner = runner if runner is not None else ExperimentRunner()
     policies = [PolicySpec.at_alpha(name, apt_alpha) for name in TABLE_POLICIES]
-    [by_policy] = runner.run([paper_spec(dfg_type, policies, seed, rate_gbps)])
+    [outcome] = run_scenarios([paper_spec(dfg_type, policies, seed, rate_gbps)], engine)
     rows = [
         (i, *(getattr(rec, metric) for rec in graph))
-        for i, graph in enumerate(zip(*by_policy), start=1)
+        for i, graph in enumerate(zip(*outcome.by_policy()), start=1)
     ]
     return TableResult(
         title=title,
@@ -53,7 +54,7 @@ def _policy_table(
 
 
 def table8(
-    runner: ExperimentRunner | None = None,
+    engine: SweepEngine | None = None,
     seed: int = DEFAULT_SEED,
     rate_gbps: float = 4.0,
 ) -> TableResult:
@@ -63,14 +64,14 @@ def table8(
         dfg_type=1,
         apt_alpha=1.5,
         metric="makespan",
-        runner=runner,
+        engine=engine,
         seed=seed,
         rate_gbps=rate_gbps,
     )
 
 
 def table9(
-    runner: ExperimentRunner | None = None,
+    engine: SweepEngine | None = None,
     seed: int = DEFAULT_SEED,
     rate_gbps: float = 4.0,
 ) -> TableResult:
@@ -80,14 +81,14 @@ def table9(
         dfg_type=2,
         apt_alpha=1.5,
         metric="makespan",
-        runner=runner,
+        engine=engine,
         seed=seed,
         rate_gbps=rate_gbps,
     )
 
 
 def table10(
-    runner: ExperimentRunner | None = None,
+    engine: SweepEngine | None = None,
     seed: int = DEFAULT_SEED,
     rate_gbps: float = 4.0,
 ) -> TableResult:
@@ -97,14 +98,14 @@ def table10(
         dfg_type=2,
         apt_alpha=4.0,
         metric="makespan",
-        runner=runner,
+        engine=engine,
         seed=seed,
         rate_gbps=rate_gbps,
     )
 
 
 def table11(
-    runner: ExperimentRunner | None = None,
+    engine: SweepEngine | None = None,
     seed: int = DEFAULT_SEED,
     rate_gbps: float = 4.0,
 ) -> TableResult:
@@ -114,14 +115,14 @@ def table11(
         dfg_type=1,
         apt_alpha=4.0,
         metric="total_lambda",
-        runner=runner,
+        engine=engine,
         seed=seed,
         rate_gbps=rate_gbps,
     )
 
 
 def table12(
-    runner: ExperimentRunner | None = None,
+    engine: SweepEngine | None = None,
     seed: int = DEFAULT_SEED,
     rate_gbps: float = 4.0,
 ) -> TableResult:
@@ -131,14 +132,14 @@ def table12(
         dfg_type=2,
         apt_alpha=4.0,
         metric="total_lambda",
-        runner=runner,
+        engine=engine,
         seed=seed,
         rate_gbps=rate_gbps,
     )
 
 
 def table13(
-    runner: ExperimentRunner | None = None,
+    engine: SweepEngine | None = None,
     seed: int = DEFAULT_SEED,
     rate_gbps: float = 4.0,
     alphas: Sequence[float] = PAPER_ALPHAS,
@@ -153,16 +154,17 @@ def table13(
     policy anchors both the exec and λ columns — matching the paper's
     presentation where MET is the runner-up throughout Tables 8–12.
     """
-    runner = runner if runner is not None else ExperimentRunner()
     pool = [PolicySpec.of(name) for name in DYNAMIC_POOL]
     apts = [PolicySpec.of("apt", alpha=alpha) for alpha in alphas]
-    grids = runner.run(
-        [paper_spec(dfg_type, pool + apts, seed, rate_gbps) for dfg_type in (1, 2)]
+    outcomes = run_scenarios(
+        [paper_spec(dfg_type, pool + apts, seed, rate_gbps) for dfg_type in (1, 2)],
+        engine,
     )
-    baselines: dict[int, list[RunRecord]] = {}
-    by_alpha: dict[int, list[list[RunRecord]]] = {}
+    baselines: dict[int, list[JobResult]] = {}
+    by_alpha: dict[int, list[list[JobResult]]] = {}
     second_best: dict[int, str] = {}
-    for dfg_type, grid in zip((1, 2), grids):
+    for dfg_type, outcome in zip((1, 2), outcomes):
+        grid = outcome.by_policy()
         pool_records = dict(zip(DYNAMIC_POOL, grid[: len(pool)]))
         second_best[dfg_type] = min(
             pool_records,
@@ -207,15 +209,14 @@ def _allocation_table(
     title: str,
     dfg_type: int,
     alpha: float,
-    runner: ExperimentRunner | None,
+    engine: SweepEngine | None,
     seed: int,
     rate_gbps: float,
 ) -> TableResult:
-    runner = runner if runner is not None else ExperimentRunner()
     apt = [PolicySpec.of("apt", alpha=alpha)]
-    [[records]] = runner.run([paper_spec(dfg_type, apt, seed, rate_gbps)])
+    [outcome] = run_scenarios([paper_spec(dfg_type, apt, seed, rate_gbps)], engine)
     rows = []
-    for i, rec in enumerate(records):
+    for i, rec in enumerate(outcome.results):
         breakdown = ", ".join(
             f"{count}-{kernel}" for kernel, count in sorted(rec.alternative_by_kernel.items())
         )
@@ -230,7 +231,7 @@ def _allocation_table(
 
 def table15(
     alpha: float = 4.0,
-    runner: ExperimentRunner | None = None,
+    engine: SweepEngine | None = None,
     seed: int = DEFAULT_SEED,
     rate_gbps: float = 4.0,
 ) -> TableResult:
@@ -239,7 +240,7 @@ def table15(
         f"Table 15 — APT kernel allocation analysis, DFG Type-1 (α={alpha})",
         dfg_type=1,
         alpha=alpha,
-        runner=runner,
+        engine=engine,
         seed=seed,
         rate_gbps=rate_gbps,
     )
@@ -247,7 +248,7 @@ def table15(
 
 def table16(
     alpha: float = 4.0,
-    runner: ExperimentRunner | None = None,
+    engine: SweepEngine | None = None,
     seed: int = DEFAULT_SEED,
     rate_gbps: float = 4.0,
 ) -> TableResult:
@@ -256,7 +257,7 @@ def table16(
         f"Table 16 — APT kernel allocation analysis, DFG Type-2 (α={alpha})",
         dfg_type=2,
         alpha=alpha,
-        runner=runner,
+        engine=engine,
         seed=seed,
         rate_gbps=rate_gbps,
     )

@@ -45,21 +45,16 @@ class KernelPopulation:
     its α = 4 allocation tables, SRAD and NW — single-size kernels — each
     account for ~10-15 % of a graph's kernels, which pair-uniform
     sampling over Table 14 (where the linear-algebra kernels have 7 sizes
-    each) could not produce.  Set ``pair_uniform=True`` for sampling
-    uniform over (kernel, size) pairs instead.
+    each) could not produce.
     """
 
     choices: tuple[tuple[str, int], ...]
-    pair_uniform: bool = False
 
     def __post_init__(self) -> None:
         if not self.choices:
             raise ValueError("population must have at least one (kernel, size) choice")
 
     def sample(self, rng: np.random.Generator) -> KernelSpec:
-        if self.pair_uniform:
-            kernel, size = self.choices[int(rng.integers(len(self.choices)))]
-            return KernelSpec(kernel, size)
         by_kernel: dict[str, list[int]] = {}
         for kernel, size in self.choices:
             by_kernel.setdefault(kernel, []).append(size)

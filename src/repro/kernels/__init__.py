@@ -2,7 +2,7 @@
 
 The lookup table drives the *simulator*, but the kernels themselves are
 first-class citizens here: every kernel of Table 5 is implemented in
-numpy/scipy, classified by its Berkeley dwarf (§2.4), and measurable
+numpy, classified by its Berkeley dwarf (§2.4), and measurable
 through :mod:`repro.kernels.calibration` to produce a fresh
 :class:`~repro.core.lookup.LookupTable` for the user's own machine.
 

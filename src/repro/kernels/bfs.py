@@ -1,8 +1,9 @@
 """Breadth-first search (graph traversal dwarf).
 
-Level-synchronous BFS over a CSR adjacency matrix — the standard
-"frontier" formulation GPU/FPGA implementations use (paper §3.2).  Data
-size is the number of directed edges in the random input graph.
+Level-synchronous BFS over the edge list — the standard "frontier"
+formulation GPU/FPGA implementations use (paper §3.2): each level marks
+the heads of every edge whose tail is on the frontier.  Data size is
+the number of directed edges in the random input graph.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 from typing import Any
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.kernels.base import Kernel, kernel_registry
 from repro.kernels.dwarfs import Dwarf
@@ -35,34 +35,42 @@ class BFSKernel(Kernel):
         # Chain edges keep the graph connected so BFS reaches everything.
         chain_src = np.arange(n_nodes - 1)
         chain_dst = chain_src + 1
-        rows = np.concatenate([src, chain_src])
-        cols = np.concatenate([dst, chain_dst])
-        data = np.ones(len(rows), dtype=np.int8)
-        adj = sp.csr_matrix((data, (rows, cols)), shape=(n_nodes, n_nodes))
-        return {"adj": adj, "source": 0}
+        return {
+            "src": np.concatenate([src, chain_src]),
+            "dst": np.concatenate([dst, chain_dst]),
+            "n_nodes": n_nodes,
+            "source": 0,
+        }
 
-    def run(self, adj: sp.csr_matrix, source: int) -> np.ndarray:
-        n = adj.shape[0]
-        levels = np.full(n, -1, dtype=np.int64)
+    def run(
+        self, src: np.ndarray, dst: np.ndarray, n_nodes: int, source: int
+    ) -> np.ndarray:
+        levels = np.full(n_nodes, -1, dtype=np.int64)
         levels[source] = 0
-        frontier = np.zeros(n, dtype=bool)
+        frontier = np.zeros(n_nodes, dtype=bool)
         frontier[source] = True
         level = 0
         while frontier.any():
             # next frontier: any unvisited vertex reachable from the frontier
-            reach = (frontier @ adj) > 0  # bool row-vector × CSR
-            nxt = np.asarray(reach).ravel() & (levels < 0)
+            reach = np.zeros(n_nodes, dtype=bool)
+            reach[dst[frontier[src]]] = True
+            nxt = reach & (levels < 0)
             level += 1
             levels[nxt] = level
             frontier = nxt
         return levels
 
-    def verify(self, output: np.ndarray, adj: sp.csr_matrix, source: int) -> bool:
-        n = adj.shape[0]
-        if output.shape != (n,) or output[source] != 0:
+    def verify(
+        self,
+        output: np.ndarray,
+        src: np.ndarray,
+        dst: np.ndarray,
+        n_nodes: int,
+        source: int,
+    ) -> bool:
+        if output.shape != (n_nodes,) or output[source] != 0:
             return False
-        coo = adj.tocoo()
-        lu, lv = output[coo.row], output[coo.col]
+        lu, lv = output[src], output[dst]
         # Every edge from a reached vertex bounds its head's level.
         reached = lu >= 0
         if not np.all(lv[reached] >= 0):
@@ -74,9 +82,9 @@ class BFSKernel(Kernel):
             members = np.flatnonzero(output == level)
             if members.size == 0:
                 return False  # levels must be contiguous
-            has_parent = np.zeros(n, dtype=bool)
-            parents = output[coo.row] == level - 1
-            has_parent[coo.col[parents]] = True
+            has_parent = np.zeros(n_nodes, dtype=bool)
+            parents = output[src] == level - 1
+            has_parent[dst[parents]] = True
             if not np.all(has_parent[members]):
                 return False
         return True

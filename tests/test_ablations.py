@@ -4,13 +4,13 @@ import pytest
 
 from repro.experiments import ablations
 from repro.experiments.ablations import APTLongestFirst
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.sweep import SweepEngine
 from tests.test_simulator import dfg_of
 
 
 @pytest.fixture(scope="module")
-def runner():
-    return ExperimentRunner()
+def engine():
+    return SweepEngine()
 
 
 class TestAPTLongestFirst:
@@ -30,18 +30,18 @@ class TestAPTLongestFirst:
 
 
 class TestAblationTables:
-    def test_transfer_term_table_shape(self, runner):
-        t = ablations.ablate_transfer_term(runner=runner, alphas=(4.0,))
+    def test_transfer_term_table_shape(self, engine):
+        t = ablations.ablate_transfer_term(engine=engine, alphas=(4.0,))
         assert len(t.rows) == 2  # Type-1 and Type-2 at one alpha
         assert all(row[2] > 0 and row[3] > 0 for row in t.rows)
 
-    def test_queue_discipline_table(self, runner):
-        t = ablations.ablate_queue_discipline(runner=runner)
+    def test_queue_discipline_table(self, engine):
+        t = ablations.ablate_queue_discipline(engine=engine)
         assert len(t.rows) == 2
         assert {row[0] for row in t.rows} == {"Type-1", "Type-2"}
 
-    def test_remaining_time_never_hurts_at_huge_alpha(self, runner):
-        t = ablations.ablate_remaining_time(runner=runner, alphas=(16.0,))
+    def test_remaining_time_never_hurts_at_huge_alpha(self, engine):
+        t = ablations.ablate_remaining_time(engine=engine, alphas=(16.0,))
         # APT-RT's guard prevents the pathological diversions plain APT
         # makes at large alpha, so its makespan is no worse on average.
         for row in t.rows:

@@ -110,6 +110,16 @@ class TestScenario:
         recorded = (tmp_path / "scenario_edge_cluster_bus.txt").read_text()
         assert "APT" in recorded
 
+    def test_run_several_scenarios_in_one_batch(self, capsys, tmp_path):
+        out = run_cli(
+            capsys, "scenario", "run", "edge_cluster_bus", "nvlink_mesh",
+            "--results-dir", str(tmp_path),
+        )
+        assert out.index("Scenario edge_cluster_bus") < out.index("Scenario nvlink_mesh")
+        for name in ("edge_cluster_bus", "nvlink_mesh"):
+            recorded = (tmp_path / f"scenario_{name}.txt").read_text()
+            assert recorded in out
+
     def test_run_with_dynamics_override(self, capsys, tmp_path):
         # inject a fault profile into a scenario that ships without one
         out = run_cli(

@@ -402,21 +402,20 @@ class TestSweepIntegration:
         assert faulty.content_hash() != other.content_hash()
 
     def test_cross_process_determinism(self, lookup):
-        from repro.experiments.sweep import (
-            ProcessPoolExecutor,
-            SerialExecutor,
-            execute_payload,
-        )
+        from repro.experiments.sweep import SweepEngine, execute_payload
 
-        job = self.make_jobs(
-            lookup, [DynamicsSpec.of("fault", mttf_ms=9000.0, mttr_ms=500.0, seed=3)]
-        )
-        payloads = [job.runnable_payload()] * 2
-        serial = SerialExecutor().run(payloads)
-        assert serial[0] == serial[1]
-        parallel = ProcessPoolExecutor(2).run(payloads)
+        jobs = [
+            self.make_jobs(
+                lookup,
+                [DynamicsSpec.of("fault", mttf_ms=9000.0, mttr_ms=500.0, seed=seed)],
+            )
+            for seed in (3, 4)
+        ]
+        serial = SweepEngine(workers=1, use_cache=False).run_jobs(jobs)
+        assert serial == SweepEngine(workers=1, use_cache=False).run_jobs(jobs)
+        parallel = SweepEngine(workers=2, use_cache=False).run_jobs(jobs)
         assert parallel == serial
-        record = execute_payload(job.runnable_payload())
+        record = execute_payload(jobs[0].runnable_payload())
         assert record["dynamics"] == ["fault"]
         assert record["n_faults"] >= 0
         assert 0.0 < record["mean_availability"] <= 1.0

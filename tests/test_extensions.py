@@ -7,18 +7,18 @@ from repro.experiments.extensions import (
     extended_policy_comparison,
     streaming_load_sweep,
 )
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.sweep import SweepEngine
 
 
 @pytest.fixture(scope="module")
-def runner():
-    return ExperimentRunner()
+def engine():
+    return SweepEngine()
 
 
 class TestStreamingLoadSweep:
     @pytest.fixture(scope="class")
-    def table(self, runner):
-        return streaming_load_sweep(runner=runner, n_applications=10)
+    def table(self, engine):
+        return streaming_load_sweep(engine=engine, n_applications=10)
 
     def test_covers_all_dynamic_policies(self, table):
         assert len(table.rows) == 8
@@ -35,16 +35,16 @@ class TestStreamingLoadSweep:
         met = next(r for r in table.rows if r[0] == "MET")
         assert apt[3] <= met[3] * 1.01
 
-    def test_deterministic(self, runner):
-        a = streaming_load_sweep(runner=runner, n_applications=6)
-        b = streaming_load_sweep(runner=runner, n_applications=6)
+    def test_deterministic(self, engine):
+        a = streaming_load_sweep(engine=engine, n_applications=6)
+        b = streaming_load_sweep(engine=engine, n_applications=6)
         assert a.rows == b.rows
 
 
 class TestExtendedPolicyComparison:
     @pytest.fixture(scope="class")
-    def table(self, runner):
-        return extended_policy_comparison(runner=runner)
+    def table(self, engine):
+        return extended_policy_comparison(engine=engine)
 
     def test_all_policies_present(self, table):
         assert set(table.column("Policy")) == {
@@ -64,8 +64,8 @@ class TestExtendedPolicyComparison:
 
 class TestEnergyComparison:
     @pytest.fixture(scope="class")
-    def table(self, runner):
-        return energy_comparison(runner=runner)
+    def table(self, engine):
+        return energy_comparison(engine=engine)
 
     def test_columns(self, table):
         assert table.headers == (

@@ -169,15 +169,27 @@ class TestBFS:
         assert np.all(out >= 0)
 
     def test_chain_graph_levels_are_distances(self):
-        import scipy.sparse as sp
-
         k = BFSKernel()
         n = 10
-        adj = sp.csr_matrix(
-            (np.ones(n - 1), (np.arange(n - 1), np.arange(1, n))), shape=(n, n)
-        )
-        out = k.run(adj=adj, source=0)
+        out = k.run(src=np.arange(n - 1), dst=np.arange(1, n), n_nodes=n, source=0)
         assert np.array_equal(out, np.arange(n))
+
+    def test_duplicate_edges_do_not_change_levels(self, rng):
+        k = BFSKernel()
+        inputs = k.prepare(300, rng)
+        doubled = dict(
+            inputs,
+            src=np.concatenate([inputs["src"], inputs["src"]]),
+            dst=np.concatenate([inputs["dst"], inputs["dst"]]),
+        )
+        assert np.array_equal(k.run(**doubled), k.run(**inputs))
+
+    def test_unreachable_vertices_stay_unvisited(self):
+        k = BFSKernel()
+        inputs = {"src": np.array([0]), "dst": np.array([1]), "n_nodes": 3, "source": 0}
+        out = k.run(**inputs)
+        assert np.array_equal(out, [0, 1, -1])
+        assert k.verify(out, **inputs)
 
     def test_corrupted_levels_fail(self, rng):
         k = BFSKernel()

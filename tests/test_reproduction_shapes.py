@@ -2,22 +2,23 @@
 
 These are the acceptance criteria of docs/architecture.md ("Reproduction notes"): the regenerated random
 graphs can't match the paper's milliseconds, but the relationships its
-conclusions rest on must hold.  One shared runner memoizes the underlying
+conclusions rest on must hold.  One shared engine memoizes the underlying
 simulations across tests.
 """
 
 import pytest
 
 from repro.analysis.stats import improvement_vs_second_best
-from repro.experiments.runner import ExperimentRunner, paper_spec
-from repro.experiments.sweep import PolicySpec
+from repro.experiments.runner import paper_spec
+from repro.experiments.scenarios import run_scenarios
+from repro.experiments.sweep import PolicySpec, SweepEngine
 
 RATE = 4.0
 
 
 @pytest.fixture(scope="module")
-def runner():
-    return ExperimentRunner()
+def engine():
+    return SweepEngine()
 
 
 @pytest.fixture(scope="module", params=[1, 2], ids=["type1", "type2"])
@@ -26,14 +27,15 @@ def dfg_type(request):
 
 
 @pytest.fixture(scope="module")
-def suite(runner, dfg_type):
-    """``suite(name, rate, alpha=None)``: one policy's records over the
+def suite(engine, dfg_type):
+    """``suite(name, rate, alpha=None)``: one policy's results over the
     Type-``dfg_type`` evaluation suite."""
 
     def run(name, rate, alpha=None):
         policy = PolicySpec.of(name, alpha=alpha) if alpha is not None else PolicySpec.of(name)
-        [[records]] = runner.run([paper_spec(dfg_type, [policy], rate_gbps=rate)])
-        return records
+        spec = paper_spec(dfg_type, [policy], rate_gbps=rate)
+        [outcome] = run_scenarios([spec], engine)
+        return list(outcome.results)
 
     return run
 

@@ -14,6 +14,7 @@ from repro.experiments.scenarios import (
     get_scenario,
     register_scenario,
     run_scenario,
+    run_scenarios,
 )
 from repro.experiments.sweep import PolicySpec, SweepEngine, system_to_dict
 from repro.experiments.workloads import build_workload, paper_suite
@@ -92,11 +93,58 @@ class TestExecution:
     def test_run_scenario_returns_policy_major_results(self):
         outcome = run_scenario("edge_cluster_bus", engine=SweepEngine())
         by_policy = outcome.by_policy()
-        assert set(by_policy) == {"apt", "olb", "ag"}
-        assert all(len(v) == 1 for v in by_policy.values())
+        assert len(by_policy) == 3
+        assert all(len(v) == 1 for v in by_policy)
+        assert [v[0].policy_name for v in by_policy] == ["apt", "olb", "ag"]
         table = outcome.table()
         assert table.headers[0] == "Policy"
         assert len(table.rows) == 3
+
+    def test_grid_listing_a_policy_twice_keeps_both_rows(self):
+        # one result list per PolicySpec, not per display label: a
+        # repeated policy keeps its own list and table row
+        spec = get_scenario("edge_cluster_bus")
+        apt = PolicySpec.of("apt", alpha=2.0)
+        grid = ScenarioSpec(
+            name="repeated_policy",
+            description=spec.description,
+            system=spec.system,
+            workload=WorkloadSpec.of("pipeline", n_kernels=12, stage_width=3, seed=1),
+            policies=(apt, PolicySpec.of("met"), apt),
+        )
+        outcome = run_scenario(grid, engine=SweepEngine())
+        first, met, again = outcome.by_policy()
+        assert first == again
+        assert [r.policy_name for r in (*first, *met)] == ["apt", "met"]
+        rows = outcome.table().rows
+        assert [row[0] for row in rows] == ["APT(alpha=2.0)", "MET", "APT(alpha=2.0)"]
+
+    def test_run_scenarios_runs_every_spec_in_one_batch(self):
+        specs = [get_scenario("edge_cluster_bus"), get_scenario("dual_socket_tree")]
+        engine = SweepEngine()
+        outcomes = run_scenarios(specs, engine=engine)
+        assert [o.spec for o in outcomes] == specs
+        assert [len(o.results) for o in outcomes] == [3, 12]
+        assert engine.stats.requested == 15
+        for spec, outcome in zip(specs, outcomes):
+            assert outcome == run_scenario(spec, engine=engine)
+
+    def test_lookup_override_reaches_every_job(self):
+        from repro.core.lookup import scale_heterogeneity
+
+        spec = get_scenario("dual_socket_tree")
+        engine = SweepEngine()
+        [plain] = run_scenarios([spec], engine)
+        scaled_lookup = scale_heterogeneity(paper_lookup_table(), 0.5)
+        [scaled] = run_scenarios([spec], engine, lookup=scaled_lookup)
+        hashes = {r.job_hash for r in plain.results}
+        assert hashes.isdisjoint(r.job_hash for r in scaled.results)
+        assert engine.stats.simulated == 2 * len(plain.results)
+
+    def test_run_scenarios_of_no_specs_runs_nothing(self):
+        engine = SweepEngine()
+        assert run_scenarios([], engine) == []
+        assert engine.stats.requested == 0
 
     def test_rerun_hits_the_cache(self, tmp_path):
         engine = SweepEngine(cache_dir=tmp_path)

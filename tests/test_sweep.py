@@ -15,7 +15,8 @@ import pytest
 
 from repro.core.lookup import KernelNotFoundError
 from repro.core.system import CPU_GPU_FPGA
-from repro.experiments.runner import ExperimentRunner, paper_spec
+from repro.experiments.runner import paper_spec
+from repro.experiments.scenarios import run_scenarios
 from repro.experiments.sweep import (
     SWEEP_FORMAT_VERSION,
     PolicySpec,
@@ -206,6 +207,19 @@ class TestSweepEngine:
         parallel = SweepEngine(workers=4, use_cache=False).run_jobs(jobs)
         assert serial == parallel  # bit-identical metrics, same order
 
+    def test_pool_keeps_request_order_and_dedupes(self, lookup, system):
+        names = ["g0", "g1", "g0", "g2"]
+        engine = SweepEngine(workers=2)
+        results = engine.run_jobs([job_of(lookup, system, name=n) for n in names])
+        assert [r.dfg_name for r in results] == names
+        assert engine.stats.simulated == 3
+        assert engine.stats.memory_hits == 1
+
+    def test_workers_resolve_at_construction(self):
+        assert SweepEngine().workers == 1
+        assert SweepEngine(workers=3).workers == 3
+        assert SweepEngine(workers=0).workers == resolve_workers(0)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_worker_failure_propagates(self, lookup, system, workers):
         bad = make_job(
@@ -329,51 +343,36 @@ class TestRunnerIntegration:
 
     def test_parallel_runner_matches_serial(self):
         spec = self.suite_spec(*self.POLICIES)
-        serial = ExperimentRunner().run([spec])
-        parallel = ExperimentRunner(workers=4).run([spec])
+        serial = run_scenarios([spec], SweepEngine())
+        parallel = run_scenarios([spec], SweepEngine(workers=4))
         assert serial == parallel
 
     def test_runner_warm_cache_rerun_simulates_nothing(self, tmp_path):
         spec = self.suite_spec(PolicySpec.of("met"))
-        first = ExperimentRunner(cache_dir=tmp_path)
-        first.run([spec])
-        assert first.engine.stats.simulated == 2
+        first = SweepEngine(cache_dir=tmp_path)
+        [cold] = run_scenarios([spec], first)
+        assert first.stats.simulated == 2
 
-        rerun = ExperimentRunner(cache_dir=tmp_path)
-        [[records]] = rerun.run([spec])
-        assert rerun.engine.stats.simulated == 0
-        assert [r.makespan for r in records] == [
-            r.makespan for r in first.run([spec])[0][0]
-        ]
+        rerun = SweepEngine(cache_dir=tmp_path)
+        [warm] = run_scenarios([spec], rerun)
+        assert rerun.stats.simulated == 0
+        assert warm == cold
 
     def test_runner_memo_distinguishes_seeds(self):
         # suites from different seeds reuse graph *names*; the memo must
-        # key on content, not name, when one runner serves both.
-        runner = ExperimentRunner()
+        # key on content, not name, when one engine serves both.
+        engine = SweepEngine()
         met = PolicySpec.of("met")
-        seed1 = runner.run([self.suite_spec(met, seed=1)])[0][0][0]
-        seed2 = runner.run([self.suite_spec(met, seed=2)])[0][0][0]
-        assert seed1.graph_name == seed2.graph_name
-        assert seed1.makespan != seed2.makespan
+        [seed1] = run_scenarios([self.suite_spec(met, seed=1)], engine)
+        [seed2] = run_scenarios([self.suite_spec(met, seed=2)], engine)
+        assert seed1.results[0].dfg_name == seed2.results[0].dfg_name
+        assert seed1.results[0].makespan != seed2.results[0].makespan
 
     def test_records_carry_energy(self):
-        rec = ExperimentRunner().run([self.suite_spec(PolicySpec.of("met"))])[0][0][0]
+        [outcome] = run_scenarios([self.suite_spec(PolicySpec.of("met"))])
+        rec = outcome.results[0]
         assert rec.energy_joules > 0
         assert rec.energy_delay_product > 0
-
-    def test_static_overhead_not_cached_into_disk_results(self, tmp_path):
-        from repro.experiments.workloads import paper_type1_suite
-
-        spec = self.suite_spec(PolicySpec.of("heft"))
-        charged = ExperimentRunner(
-            static_planning_overhead_per_kernel_ms=10.0, cache_dir=tmp_path
-        )
-        a = charged.run([spec])[0][0][0]
-        # a second runner *without* the overhead reads the same cache entry
-        plain = ExperimentRunner(cache_dir=tmp_path)
-        b = plain.run([spec])[0][0][0]
-        assert plain.engine.stats.simulated == 0
-        assert a.makespan == pytest.approx(b.makespan + 10.0 * len(paper_type1_suite()[0]))
 
 
 class TestOpenSystemPayload:
@@ -502,92 +501,3 @@ class TestConcurrentCacheWriters:
         for _ in range(3):
             cache.put("k", {"v": 1})
         assert cache.stats() == {"puts": 3, "entries": 1}
-
-
-# ----------------------------------------------------------------------
-# progress + cancellation hooks on the sweep seam
-# ----------------------------------------------------------------------
-class TestProgressAndCancel:
-    def jobs_of(self, lookup, system, n=3):
-        return [
-            job_of(lookup, system, name=f"g{i}", tag={"i": i}) for i in range(n)
-        ]
-
-    def test_progress_reports_every_job(self, lookup, system):
-        engine = SweepEngine(workers=1)
-        seen = []
-        engine.run_jobs(
-            self.jobs_of(lookup, system), progress=lambda d, t: seen.append((d, t))
-        )
-        assert seen == [(1, 3), (2, 3), (3, 3)]
-
-    def test_progress_counts_cache_hits_in_one_step(self, lookup, system):
-        engine = SweepEngine(workers=1)
-        jobs = self.jobs_of(lookup, system)
-        engine.run_jobs(jobs)
-        seen = []
-        engine.run_jobs(jobs, progress=lambda d, t: seen.append((d, t)))
-        assert seen == [(3, 3)]
-
-    def test_cancel_before_start_raises_immediately(self, lookup, system):
-        from repro.experiments.sweep import SweepCancelled
-
-        engine = SweepEngine(workers=1)
-        with pytest.raises(SweepCancelled) as exc:
-            engine.run_jobs(self.jobs_of(lookup, system), cancel=lambda: True)
-        assert exc.value.done == 0
-        assert exc.value.total == 3
-        assert engine.stats.simulated == 0
-
-    def test_cancel_mid_sweep_keeps_partial_results_cached(
-        self, lookup, system, tmp_path
-    ):
-        from repro.experiments.sweep import SweepCancelled
-
-        engine = SweepEngine(workers=1, cache_dir=tmp_path)
-        jobs = self.jobs_of(lookup, system)
-        fired = {"count": 0}
-
-        def cancel_after_one():
-            fired["count"] += 1
-            return fired["count"] > 1  # first poll passes, second cancels
-
-        with pytest.raises(SweepCancelled) as exc:
-            engine.run_jobs(jobs, cancel=cancel_after_one)
-        assert 0 < exc.value.done < 3
-        assert len(exc.value.partial) == exc.value.done
-        # the finished prefix is cached: a fresh engine resumes, not restarts
-        resumed = SweepEngine(workers=1, cache_dir=tmp_path)
-        results = resumed.run_jobs(jobs)
-        assert len(results) == 3
-        assert resumed.stats.disk_hits == exc.value.done
-        assert resumed.stats.simulated == 3 - exc.value.done
-
-    def test_pool_cancel_terminates_batch(self, lookup, system, tmp_path):
-        from repro.experiments.sweep import ProcessPoolExecutor, SweepCancelled
-
-        executor = ProcessPoolExecutor(workers=2)
-        payloads = [
-            job.runnable_payload() for job in self.jobs_of(lookup, system, n=4)
-        ]
-        fired = {"count": 0}
-
-        def cancel_after_first():
-            # poll 1 is the pre-dispatch check; poll 2 follows the first
-            # completed payload
-            fired["count"] += 1
-            return fired["count"] >= 2
-
-        with pytest.raises(SweepCancelled) as exc:
-            executor.run(payloads, cancel=cancel_after_first)
-        assert 1 <= exc.value.done < 4
-        assert len(exc.value.partial) == exc.value.done
-
-    def test_serial_matches_cancel_free_run(self, lookup, system):
-        engine = SweepEngine(workers=1)
-        jobs = self.jobs_of(lookup, system)
-        plain = engine.run_jobs(jobs)
-        hooked = SweepEngine(workers=1).run_jobs(
-            jobs, progress=lambda d, t: None, cancel=lambda: False
-        )
-        assert hooked == plain

@@ -1,10 +1,11 @@
-"""Tests for the evaluation suites and the experiment runner."""
+"""Tests for the evaluation suites and running them as scenario grids."""
 
 import pytest
 
 from repro.data.paper_tables import PAPER_GRAPH_SIZES
-from repro.experiments.runner import ExperimentRunner, paper_spec
-from repro.experiments.sweep import PolicySpec
+from repro.experiments.runner import paper_spec
+from repro.experiments.scenarios import run_scenarios
+from repro.experiments.sweep import PolicySpec, SweepEngine
 from repro.experiments.workloads import (
     paper_suite,
     paper_type1_suite,
@@ -54,69 +55,63 @@ class TestSuites:
 
 class TestRunner:
     @pytest.fixture(scope="class")
-    def runner(self):
-        return ExperimentRunner()
+    def engine(self):
+        return SweepEngine()
 
     @staticmethod
-    def records(runner, *policies, rates=(4.0,)):
-        """One grid per rate over the first two Type-1 graphs."""
-        return runner.run(
-            [paper_spec(1, policies, rate_gbps=rate, n_graphs=2) for rate in rates]
+    def records(engine, *policies, rates=(4.0,)):
+        """One outcome per rate over the first two Type-1 graphs."""
+        return run_scenarios(
+            [paper_spec(1, policies, rate_gbps=rate, n_graphs=2) for rate in rates],
+            engine,
         )
 
-    def test_run_one_record_fields(self, runner):
-        [[[rec, _]]] = self.records(runner, PolicySpec.of("met"))
-        assert rec.policy == "met"
+    def test_run_one_record_fields(self, engine):
+        [outcome] = self.records(engine, PolicySpec.of("met"))
+        rec = outcome.results[0]
+        assert rec.policy_name == "met"
         assert rec.makespan > 0
         assert rec.n_kernels == len(paper_type1_suite()[0])
-        assert rec.alpha is None
+        assert outcome.spec.policies[0].alpha is None
 
-    def test_memoization_returns_identical_record(self, runner):
-        a = self.records(runner, PolicySpec.of("met"))[0][0][0]
-        b = self.records(runner, PolicySpec.of("met"))[0][0][0]
-        assert a is b
-
-    def test_alpha_distinguishes_cache_entries(self, runner):
-        [[a, b]] = self.records(
-            runner, PolicySpec.of("apt", alpha=1.5), PolicySpec.of("apt", alpha=16.0)
+    def test_alpha_distinguishes_cache_entries(self, engine):
+        [outcome] = self.records(
+            engine, PolicySpec.of("apt", alpha=1.5), PolicySpec.of("apt", alpha=16.0)
         )
-        assert a[0] is not b[0]
+        a, b = outcome.by_policy()
+        assert a[0].job_hash != b[0].job_hash
 
-    def test_run_suite_order(self, runner):
-        [[recs]] = self.records(runner, PolicySpec.of("met"))
-        assert [r.graph_index for r in recs] == [0, 1]
+    def test_run_suite_order(self, engine):
+        [outcome] = self.records(engine, PolicySpec.of("met"))
+        assert [r.dfg_name for r in outcome.results] == [
+            g.name for g in paper_type1_suite()[:2]
+        ]
 
-    def test_compare_policies_passes_alpha_to_apt_only(self, runner):
-        [[apt, met]] = self.records(
-            runner, PolicySpec.at_alpha("apt", 2.0), PolicySpec.at_alpha("met", 2.0)
+    def test_compare_policies_passes_alpha_to_apt_only(self, engine):
+        [outcome] = self.records(
+            engine, PolicySpec.at_alpha("apt", 2.0), PolicySpec.at_alpha("met", 2.0)
         )
-        assert all(r.alpha == 2.0 for r in apt)
-        assert all(r.alpha is None for r in met)
+        assert [p.alpha for p in outcome.spec.policies] == [2.0, None]
+        apt, met = outcome.by_policy()
+        [plain_met] = self.records(engine, PolicySpec.of("met"))
+        assert [r.job_hash for r in met] == [r.job_hash for r in plain_met.results]
+        assert all(r.policy_name == "apt" for r in apt)
 
-    def test_alpha_sweep_covers_grid(self, runner):
+    def test_alpha_sweep_covers_grid(self, engine):
         alphas, rates = (1.5, 4.0), (4.0, 8.0)
         apts = [PolicySpec.of("apt", alpha=alpha) for alpha in alphas]
-        grids = self.records(runner, *apts, rates=rates)
+        outcomes = self.records(engine, *apts, rates=rates)
         sweep = {
-            (rec.alpha, rec.rate_gbps)
-            for grid in grids
-            for records in grid
-            for rec in records
+            (policy.alpha, outcome.spec.system["rate_gbps"])
+            for outcome in outcomes
+            for policy, results in zip(outcome.spec.policies, outcome.by_policy())
+            if results
         }
         assert sweep == {(1.5, 4.0), (1.5, 8.0), (4.0, 4.0), (4.0, 8.0)}
+        hashes = {r.job_hash for outcome in outcomes for r in outcome.results}
+        assert len(hashes) == len(alphas) * len(rates) * 2
 
-    def test_apt_records_alternative_breakdown(self, runner):
-        [[recs]] = self.records(runner, PolicySpec.of("apt", alpha=16.0))
-        rec = recs[0]
+    def test_apt_records_alternative_breakdown(self, engine):
+        [outcome] = self.records(engine, PolicySpec.of("apt", alpha=16.0))
+        rec = outcome.results[0]
         assert rec.n_alternative == sum(rec.alternative_by_kernel.values())
-
-    def test_static_overhead_knob(self):
-        plain = ExperimentRunner()
-        charged = ExperimentRunner(static_planning_overhead_per_kernel_ms=10.0)
-        a = self.records(plain, PolicySpec.of("heft"))[0][0][0]
-        b = self.records(charged, PolicySpec.of("heft"))[0][0][0]
-        assert b.makespan == pytest.approx(a.makespan + 10.0 * len(paper_type1_suite()[0]))
-        # dynamic policies are never charged
-        c = self.records(charged, PolicySpec.of("met"))[0][0][0]
-        d = self.records(plain, PolicySpec.of("met"))[0][0][0]
-        assert c.makespan == pytest.approx(d.makespan)
