@@ -22,6 +22,9 @@ Authoring guide with a topology cookbook: ``docs/scenarios.md``.
 from __future__ import annotations
 
 import inspect
+import json
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterable, Mapping, Sequence
@@ -48,7 +51,12 @@ from repro.experiments.sweep import (
     system_from_dict,
     system_to_dict,
 )
-from repro.experiments.workloads import DEFAULT_SEED, WORKLOAD_KINDS, build_workload
+from repro.experiments.workloads import (
+    DEFAULT_SEED,
+    WORKLOAD_KINDS,
+    WorkloadUnit,
+    build_workload,
+)
 
 
 @dataclass(frozen=True)
@@ -96,6 +104,47 @@ class WorkloadSpec:
         return cls.of(str(data["kind"]), **dict(data.get("params") or {}))  # type: ignore[arg-type]
 
 
+#: Most kernels the expansion memo retains.  A built and serialized unit
+#: holds about 0.8 KiB per kernel (7.7 MiB for the 10,008-kernel
+#: ``fat_tree_streaming`` stream), so the memo stays under 16 MiB; every
+#: registered scenario's workload fits at once.
+_UNIT_MEMO_KERNELS = 20_000
+#: canonical workload JSON -> (its units, their kernel count), least
+#: recently used first
+_UNIT_MEMO: "OrderedDict[str, tuple[list[WorkloadUnit], int]]" = OrderedDict()
+_UNIT_MEMO_LOCK = threading.Lock()
+
+
+def _expansion_units(workload: WorkloadSpec) -> list[WorkloadUnit]:
+    """``workload.build()``, built once per process while it fits the memo.
+
+    Only :meth:`ScenarioSpec.jobs` reads these units, and it only
+    serializes them, so no caller ever holds a shared DFG.  The key is
+    the workload's canonical JSON, not spec equality, which takes
+    ``seed=2017.0`` for ``seed=2017``; a workload whose parameters are
+    not JSON is built every time.
+    """
+    try:
+        key = json.dumps(workload.to_dict(), sort_keys=True)
+    except (TypeError, ValueError):
+        return workload.build()
+    with _UNIT_MEMO_LOCK:
+        entry = _UNIT_MEMO.get(key)
+        if entry is not None:
+            _UNIT_MEMO.move_to_end(key)
+            return entry[0]
+    units = workload.build()
+    kernels = sum(len(unit.dfg) for unit in units)
+    if kernels <= _UNIT_MEMO_KERNELS:
+        with _UNIT_MEMO_LOCK:
+            _UNIT_MEMO[key] = (units, kernels)
+            held = sum(n for _, n in _UNIT_MEMO.values())
+            while held > _UNIT_MEMO_KERNELS:
+                _, (_, n) = _UNIT_MEMO.popitem(last=False)
+                held -= n
+    return units
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One fully-described experiment scenario.
@@ -128,7 +177,7 @@ class ScenarioSpec:
         """Expand the scenario into sweep jobs (policy-major, then DFG)."""
         lookup = lookup if lookup is not None else paper_lookup_table()
         system = self.build_system()
-        units = self.workload.build()
+        units = _expansion_units(self.workload)
         out: list[SweepJob] = []
         for policy in self.policies:
             for index, unit in enumerate(units):

@@ -293,10 +293,14 @@ class SweepJob:
     #: content hash — a faulty run must never share a cache entry with
     #: its fault-free twin.
     dynamics: list[dict[str, object]] | None = None
-    #: Optional precomputed digest of ``lookup`` (set by :func:`make_job`);
-    #: purely a hashing shortcut, never semantics.
-    lookup_digest: str | None = field(default=None, compare=False)
-    _hash: str | None = field(default=None, repr=False, compare=False)
+    #: Hashing shortcuts derived from the fields above: the digest of
+    #: ``lookup`` and the canonical JSON of ``dfg`` (both set by
+    #: :func:`make_job`), and the memoized content hash.  Never
+    #: semantics, and not init fields, so ``dataclasses.replace``
+    #: re-derives them instead of copying a stale value.
+    lookup_digest: str | None = field(default=None, init=False, compare=False)
+    _dfg_json: str | None = field(default=None, init=False, repr=False, compare=False)
+    _hash: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def payload(self) -> dict[str, object]:
         """The canonical, JSON-safe body a worker executes."""
@@ -324,12 +328,24 @@ class SweepJob:
         }
 
     def content_hash(self) -> str:
-        """The job's cache key (memoized per instance)."""
+        """The job's cache key (memoized per instance): the digest
+        :func:`hash_payload` gives :meth:`payload`, with the DFG's
+        canonical JSON spliced into the sorted-key blob instead of
+        re-encoded for every job."""
         if self._hash is None:
-            payload = self.payload()
-            if self.lookup_digest is not None:
-                payload["lookup"] = self.lookup_digest
-            self._hash = hash_payload(payload)
+            if self.lookup_digest is None:
+                self.lookup_digest = job_hash({"records": self.lookup})
+            if self._dfg_json is None:
+                self._dfg_json = _canonical(self.dfg)
+            body = self.payload()
+            del body["provider"], body["dfg"]
+            body["lookup"] = self.lookup_digest
+            # a sort_keys encoding lists the top-level keys in order, and
+            # the payload has keys on both sides of "dfg"
+            before = _canonical({k: v for k, v in body.items() if k < "dfg"})
+            after = _canonical({k: v for k, v in body.items() if k > "dfg"})
+            blob = f'{before[:-1]},"dfg":{self._dfg_json},{after[1:]}'
+            self._hash = hashlib.sha256(blob.encode("utf-8")).hexdigest()
         return self._hash
 
     def runnable_payload(self) -> dict[str, object]:
@@ -342,10 +358,14 @@ class SweepJob:
         return out
 
 
+def _canonical(value: object) -> str:
+    """The canonical JSON encoding every content hash covers."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def job_hash(payload: Mapping[str, object]) -> str:
     """SHA-256 over the canonical JSON encoding of a mapping."""
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
 
 
 def hash_payload(payload: Mapping[str, object]) -> str:
@@ -364,12 +384,12 @@ def hash_payload(payload: Mapping[str, object]) -> str:
 
 
 #: Per-object memo of expensive serializations: a lookup table's records
-#: + digest, and a DFG's dict form.  Keyed weakly so tables/graphs are
-#: serialized once per sweep, not once per job.
+#: + digest, and a DFG's dict form + canonical JSON.  Keyed weakly so
+#: tables/graphs are serialized once per sweep, not once per job.
 _LOOKUP_MEMO: "weakref.WeakKeyDictionary[LookupTable, tuple[list, str]]" = (
     weakref.WeakKeyDictionary()
 )
-_DFG_MEMO: "weakref.WeakKeyDictionary[DFG, tuple[tuple, dict]]" = (
+_DFG_MEMO: "weakref.WeakKeyDictionary[DFG, tuple[tuple, dict, str]]" = (
     weakref.WeakKeyDictionary()
 )
 
@@ -383,15 +403,17 @@ def _lookup_records(lookup: LookupTable) -> tuple[list[dict[str, object]], str]:
     return memo
 
 
-def _dfg_dict(dfg: DFG) -> dict[str, object]:
+def _dfg_dict(dfg: DFG) -> tuple[dict[str, object], str]:
+    """``dfg``'s dict form and its canonical JSON."""
     # every public mutation of a DFG moves this signature, invalidating
     # the memo (LookupTable needs no such guard: it is immutable).
     sig = (dfg.name, len(dfg), dfg.n_edges)
     entry = _DFG_MEMO.get(dfg)
     if entry is None or entry[0] != sig:
-        entry = (sig, dfg_to_dict(dfg))
+        data = dfg_to_dict(dfg)
+        entry = (sig, data, _canonical(data))
         _DFG_MEMO[dfg] = entry
-    return entry[1]
+    return entry[1], entry[2]
 
 
 def app_spans_to_payload(spans: "Sequence[AppSpan] | None") -> list[list[float]] | None:
@@ -415,8 +437,9 @@ def make_job(
 ) -> SweepJob:
     """Serialize live objects into a :class:`SweepJob`."""
     records, digest = _lookup_records(lookup)
-    return SweepJob(
-        dfg=_dfg_dict(dfg),
+    dfg_dict, dfg_json = _dfg_dict(dfg)
+    job = SweepJob(
+        dfg=dfg_dict,
         system=system_to_dict(system),
         lookup=records,
         policy=policy,
@@ -424,11 +447,13 @@ def make_job(
         arrivals=dict(arrivals) if arrivals else None,
         tag=dict(tag) if tag else {},
         lookup_interpolate=lookup.interpolate,
-        lookup_digest=digest,
         app_spans=app_spans_to_payload(app_spans),
         source=dict(source) if source else None,
         dynamics=[d.to_dict() for d in dynamics] if dynamics else None,
     )
+    job.lookup_digest = digest
+    job._dfg_json = dfg_json
+    return job
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ round out the library for workloads beyond the paper's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,19 +49,25 @@ class KernelPopulation:
     """
 
     choices: tuple[tuple[str, int], ...]
+    #: ``choices`` grouped once per population: one tuple of specs per
+    #: kernel type, types in name order, sizes in choice order.
+    _groups: tuple[tuple[KernelSpec, ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.choices:
             raise ValueError("population must have at least one (kernel, size) choice")
+        by_kernel: dict[str, list[KernelSpec]] = {}
+        for kernel, size in self.choices:
+            by_kernel.setdefault(kernel, []).append(KernelSpec(kernel, size))
+        groups = tuple(tuple(by_kernel[kernel]) for kernel in sorted(by_kernel))
+        object.__setattr__(self, "_groups", groups)
 
     def sample(self, rng: np.random.Generator) -> KernelSpec:
-        by_kernel: dict[str, list[int]] = {}
-        for kernel, size in self.choices:
-            by_kernel.setdefault(kernel, []).append(size)
-        names = sorted(by_kernel)
-        kernel = names[int(rng.integers(len(names)))]
-        sizes = by_kernel[kernel]
-        return KernelSpec(kernel, sizes[int(rng.integers(len(sizes)))])
+        # two draws, type then size: every seeded graph depends on this order
+        group = self._groups[int(rng.integers(len(self._groups)))]
+        return group[int(rng.integers(len(group)))]
 
     def sample_many(self, n: int, rng: np.random.Generator) -> list[KernelSpec]:
         return [self.sample(rng) for _ in range(n)]

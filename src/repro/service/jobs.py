@@ -238,6 +238,15 @@ class FairGate:
 # ----------------------------------------------------------------------
 # job records
 # ----------------------------------------------------------------------
+def _expand(spec: ScenarioSpec, lookup: LookupTable) -> list[SweepJob]:
+    """``spec``'s jobs with their content hashes computed: all the work a
+    job needs before dispatch, in one call for a worker thread."""
+    jobs = spec.jobs(lookup)
+    for job in jobs:
+        job.content_hash()
+    return jobs
+
+
 #: sentinel result of :meth:`JobManager._race_cancel`: cancel fired first.
 _CANCELLED = object()
 
@@ -466,7 +475,9 @@ class JobManager:
     # ------------------------------------------------------------------
     async def _run_job(self, record: JobRecord) -> None:
         try:
-            jobs = record.spec.jobs(self.lookup)
+            # a large inline spec takes seconds to expand and hash; other
+            # clients (and /healthz) must not wait on that
+            jobs = await asyncio.to_thread(_expand, record.spec, self.lookup)
             record.total = len(jobs)
             record.state = "running"
             self._event(record, "started", total=record.total)

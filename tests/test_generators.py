@@ -18,7 +18,40 @@ from repro.graphs.generators import (
 )
 
 
+def regrouping_sample(
+    choices: "tuple[tuple[str, int], ...]", rng: np.random.Generator
+) -> KernelSpec:
+    """The population's draw as first written: regroup every time, then
+    draw a kernel type and one of its sizes."""
+    by_kernel: dict[str, list[int]] = {}
+    for kernel, size in choices:
+        by_kernel.setdefault(kernel, []).append(size)
+    names = sorted(by_kernel)
+    kernel = names[int(rng.integers(len(names)))]
+    sizes = by_kernel[kernel]
+    return KernelSpec(kernel, sizes[int(rng.integers(len(sizes)))])
+
+
 class TestKernelPopulation:
+    @pytest.mark.parametrize(
+        "population",
+        [PAPER_KERNEL_POPULATION, KernelPopulation((("b", 1), ("a", 2), ("b", 3)))],
+        ids=["paper", "interleaved-unsorted"],
+    )
+    def test_sample_matches_the_regrouping_draw(self, population):
+        ours, reference = np.random.default_rng(5), np.random.default_rng(5)
+        drawn = [population.sample(ours) for _ in range(10_000)]
+        expected = [regrouping_sample(population.choices, reference) for _ in range(10_000)]
+        assert drawn == expected
+        # the same draws, too: both generators end in the same state
+        assert ours.integers(1 << 62) == reference.integers(1 << 62)
+
+    def test_grouping_is_not_part_of_identity(self):
+        choices = (("b", 1), ("a", 2))
+        assert KernelPopulation(choices) == KernelPopulation(choices)
+        assert hash(KernelPopulation(choices)) == hash(KernelPopulation(choices))
+        assert repr(KernelPopulation(choices)) == f"KernelPopulation(choices={choices!r})"
+
     def test_sample_draws_from_choices(self, rng):
         pop = KernelPopulation((("a", 10), ("b", 20)))
         seen = {pop.sample(rng).kernel for _ in range(50)}

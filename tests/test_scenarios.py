@@ -1,12 +1,18 @@
 """Tests for the declarative scenario registry (`repro.experiments.scenarios`)."""
 
 import json
+import sys
+import threading
+from collections import OrderedDict
 
+import numpy as np
 import pytest
 
 from repro.core.simulator import Simulator
 from repro.core.system import CPU_GPU_FPGA
 from repro.data.paper_tables import paper_lookup_table
+from repro.experiments import scenarios
+from repro.experiments.runner import flat_spec, paper_spec
 from repro.experiments.scenarios import (
     ScenarioSpec,
     WorkloadSpec,
@@ -18,6 +24,7 @@ from repro.experiments.scenarios import (
 )
 from repro.experiments.sweep import PolicySpec, SweepEngine, system_to_dict
 from repro.experiments.workloads import build_workload, paper_suite
+from repro.graphs.dfg import KernelSpec
 from repro.policies.registry import get_policy
 
 EXPECTED_CATALOG = {
@@ -194,6 +201,140 @@ class TestExecution:
                 workload=WorkloadSpec.of("pipeline", n_kernels=8),
                 policies=(),
             )
+
+
+MET = (PolicySpec.of("met"),)
+
+
+def pipeline_spec(seed: int, n_kernels: int = 60) -> ScenarioSpec:
+    return flat_spec(
+        f"pipeline_{seed}",
+        WorkloadSpec.of("pipeline", n_kernels=n_kernels, stage_width=4, seed=seed),
+        MET,
+    )
+
+
+@pytest.fixture
+def generator_calls(monkeypatch):
+    """Names of the ``make_*`` graph generators called, wherever bound."""
+    from repro.experiments import workloads
+    from repro.graphs import generators
+
+    calls: list[str] = []
+    for module in (generators, workloads):
+        for name, original in list(vars(module).items()):
+            if name.startswith("make_") and getattr(original, "__module__", None) == (
+                generators.__name__
+            ):
+
+                def counted(*args, _original=original, _name=name, **kwargs):
+                    calls.append(_name)
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestExpansionMemo:
+    """``ScenarioSpec.jobs`` builds each workload once per process, while
+    every builder keeps handing its callers fresh graphs."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(scenarios, "_UNIT_MEMO", OrderedDict())
+
+    def test_second_expansion_builds_no_graph(self, generator_calls):
+        spec = paper_spec(1, MET, seed=2017, n_graphs=3)
+        first = [job.content_hash() for job in spec.jobs()]
+        assert "make_type1_dfg" in generator_calls
+        generator_calls.clear()
+        second = [job.content_hash() for job in spec.jobs()]
+        assert generator_calls == []
+        assert second == first
+
+    def test_builders_return_fresh_graphs_that_reach_no_job(self):
+        spec = paper_spec(2, MET, n_graphs=2)
+        before = [job.content_hash() for job in spec.jobs()]
+        suite, again = paper_suite(2), paper_suite(2)
+        units, units_again = spec.workload.build(), spec.workload.build()
+        assert suite[0] is not again[0]
+        assert units[0].dfg is not units_again[0].dfg
+        for dfg in (suite[0], units[0].dfg):
+            dfg.add_kernel(KernelSpec("matmul", 250_000))
+            dfg.add_dependency(0, len(dfg) - 1)
+        assert [job.content_hash() for job in spec.jobs()] == before
+
+    def test_float_seed_still_fails_after_the_int_seed_expanded(self):
+        paper_spec(1, MET, seed=2017, n_graphs=1).jobs()
+        # equal as a WorkloadSpec, but numpy refuses a float seed
+        assert paper_spec(1, MET, seed=2017.0, n_graphs=1).workload == (
+            paper_spec(1, MET, seed=2017, n_graphs=1).workload
+        )
+        with pytest.raises(TypeError):
+            paper_spec(1, MET, seed=2017.0, n_graphs=1).jobs()
+
+    def test_parameters_that_are_not_json_still_expand(self):
+        as_numpy = flat_spec(
+            "numpy_pipeline",
+            WorkloadSpec.of("pipeline", n_kernels=np.int64(12), stage_width=4, seed=1),
+            MET,
+        )
+        [job] = as_numpy.jobs()
+        assert job.content_hash() == pipeline_spec(1, n_kernels=12).jobs()[0].content_hash()
+
+    def test_memo_holds_at_most_its_kernel_bound(self, monkeypatch, generator_calls):
+        monkeypatch.setattr(scenarios, "_UNIT_MEMO_KERNELS", 150)
+
+        def held() -> int:
+            return sum(n for _, n in scenarios._UNIT_MEMO.values())
+
+        def builds(spec: ScenarioSpec) -> int:
+            generator_calls.clear()
+            spec.jobs()
+            assert held() <= 150
+            return len(generator_calls)
+
+        assert [builds(pipeline_spec(seed)) for seed in (1, 2, 1)] == [1, 1, 0]
+        # a third 60-kernel workload evicts the least recently used: seed 2
+        assert builds(pipeline_spec(3)) == 1
+        assert [builds(pipeline_spec(seed)) for seed in (1, 3, 2)] == [0, 0, 1]
+        # a workload above the bound is built every time and never retained
+        big = pipeline_spec(4, n_kernels=151)
+        assert [builds(big), builds(big)] == [1, 1]
+        assert held() == 120
+
+    def test_threads_expanding_at_once_agree(self, monkeypatch):
+        """Four threads churn a memo too small for their three workloads,
+        switching every microsecond: every expansion hashes like a
+        serial one, and the memo never exceeds its bound."""
+        monkeypatch.setattr(scenarios, "_UNIT_MEMO_KERNELS", 150)
+        specs = [pipeline_spec(seed) for seed in (11, 12, 13)]
+        expected = [[job.content_hash() for job in spec.jobs()] for spec in specs]
+        failures: list[Exception] = []
+
+        def expand(offset: int) -> None:
+            try:
+                for i in range(30):
+                    k = (i + offset) % len(specs)
+                    assert [job.content_hash() for job in specs[k].jobs()] == expected[k]
+                    with scenarios._UNIT_MEMO_LOCK:
+                        held = sum(n for _, n in scenarios._UNIT_MEMO.values())
+                    assert held <= 150
+            except Exception as exc:  # reported by the main thread
+                failures.append(exc)
+
+        threads = [threading.Thread(target=expand, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
 
 
 class TestOpenSystemScenarios:

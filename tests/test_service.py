@@ -281,6 +281,46 @@ class TestJobManager:
 
         run(scenario())
 
+    def test_expansion_leaves_the_loop_free(self, monkeypatch):
+        """A ~20k-kernel spec expands and hashes off the event loop: a
+        coroutine on the same loop keeps running while it expands."""
+        ticks = 0
+        seen: list[int] = []
+        jobs = ScenarioSpec.jobs
+
+        def watched(spec, *args, **kwargs):
+            seen.append(ticks)
+            try:
+                return jobs(spec, *args, **kwargs)
+            finally:
+                seen.append(ticks)
+
+        monkeypatch.setattr(ScenarioSpec, "jobs", watched)
+        spec = ScenarioSpec(
+            name="svc_big_stream",
+            description="service test stream",
+            system=system_to_dict(CPU_GPU_FPGA()),
+            # a seed no other test expands, so nothing is memoized
+            workload=WorkloadSpec.of("streaming", n_kernels=20_000, seed=90_210),
+            policies=(PolicySpec.of("met"),),
+        ).to_dict()
+
+        async def scenario():
+            nonlocal ticks
+            manager = self.manager(executor=InlineExecutor(slots=1))
+            record = manager.submit(SubmitRequest.from_dict({"spec": spec}))
+            manager.cancel(record.id)  # expansion still runs; nothing simulates
+            while not record.finished:
+                ticks += 1
+                await asyncio.sleep(0.001)
+            await manager.close()
+            return record
+
+        record = run(scenario())
+        assert (record.state, record.total, record.simulated) == ("cancelled", 1, 0)
+        entered, returned = seen
+        assert returned - entered >= 1
+
     def test_double_cancel_is_idempotent(self):
         async def scenario():
             manager = self.manager(executor=InlineExecutor(slots=1))

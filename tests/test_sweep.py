@@ -8,15 +8,19 @@ propagate instead of yielding partial results.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import multiprocessing
 
 import pytest
 
+from repro.core.dynamics import DynamicsSpec
 from repro.core.lookup import KernelNotFoundError
 from repro.core.system import CPU_GPU_FPGA
+from repro.data.paper_tables import paper_lookup_table
 from repro.experiments.runner import paper_spec
-from repro.experiments.scenarios import run_scenarios
+from repro.experiments.scenarios import available_scenarios, get_scenario, run_scenarios
 from repro.experiments.sweep import (
     SWEEP_FORMAT_VERSION,
     PolicySpec,
@@ -119,6 +123,32 @@ class TestContentHash:
         )
         assert manual.lookup_digest is None
         assert manual.content_hash() == via_make_job.content_hash()
+
+    #: one changed ingredient per job field, as ``make_job`` arguments
+    REPLACEMENTS = {
+        "dfg": lambda: {"dfg": small_dfg("other")},
+        "policy": lambda: {"policy": PolicySpec.of("met")},
+        "lookup": lambda: {"lookup": paper_lookup_table()},
+        "settings": lambda: {"settings": SimSettings(exec_noise_sigma=0.1)},
+        "arrivals": lambda: {"arrivals": {1: 5.0}},
+        "dynamics": lambda: {"dynamics": [DynamicsSpec.of("preempt", penalty_ms=2.0)]},
+    }
+
+    @pytest.mark.parametrize("name", list(REPLACEMENTS))
+    def test_replaced_field_is_rehashed(self, lookup, system, name):
+        """``dataclasses.replace`` re-derives every hashing shortcut: the
+        replaced job hashes like a job made with the same change."""
+        base = {
+            "dfg": small_dfg(),
+            "policy": PolicySpec.of("apt", alpha=4.0),
+            "system": system,
+            "lookup": lookup,
+        }
+        job = make_job(**base)
+        original = job.content_hash()
+        fresh = make_job(**{**base, **self.REPLACEMENTS[name]()})
+        replaced = dataclasses.replace(job, **{name: getattr(fresh, name)})
+        assert replaced.content_hash() == fresh.content_hash() != original
 
     def test_system_roundtrip(self, system):
         data = system_to_dict(system)
@@ -331,6 +361,62 @@ class TestScenarioGrid:
             load_sweep(policies=("apt",), rates_per_s=(0.5,))
             [job] = batches[0]
         assert job.content_hash() == self.PINNED_KEYS[builder]
+
+
+def oracle_hash(job: SweepJob) -> str:
+    """A job's cache key, encoded here from its payload: plumbing keys
+    dropped, the lookup records collapsed to their own digest."""
+
+    def sha256(value: object) -> str:
+        blob = json.dumps(value, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+    body = {
+        k: v for k, v in job.payload().items() if k not in ("provider", "job_hash")
+    }
+    body["lookup"] = sha256({"records": body["lookup"]})
+    return sha256(body)
+
+
+class TestSplicedHash:
+    """``content_hash`` splices each DFG's JSON into the payload's blob;
+    the keys must be those of encoding the whole payload."""
+
+    def test_every_registered_job_matches_an_independent_encoding(self):
+        lookup = paper_lookup_table()
+        specs = [get_scenario(name) for name in available_scenarios()]
+        specs.append(
+            paper_spec(
+                2,
+                (PolicySpec.of("apt", alpha=4.0), PolicySpec.of("met")),
+                n_graphs=3,
+                settings=SimSettings(exec_noise_sigma=0.2, noise_seed=5),
+            )
+        )
+        jobs = [job for spec in specs for job in spec.jobs(lookup)]
+        assert len(jobs) > 180
+        for job in jobs:
+            assert job.content_hash() == oracle_hash(job), job.tag
+
+    #: each scenario's first job, recorded before the DFG's JSON was
+    #: spliced in; together they carry arrivals, app spans, a source,
+    #: contended topologies and both dynamics layers
+    PINNED_KEYS = {
+        "fat_tree_streaming": (
+            "6224f52aba97bf867034b78d5815e4e26978f1bb07e09774a2b0b1691bb70358"
+        ),
+        "faulty_edge_cluster": (
+            "871414d92750028c8b8b0e5710f191cc544afb01330cbd287149ac9aa9573dfd"
+        ),
+        "open_system_poisson": (
+            "84ac20206f54b541baeb918b1808e0da151d2ba861e79738a90db4f44adbbcbd"
+        ),
+        "preemptive_rt": "f05b8ea029ae43e5893188b565d6428306fa989a9cca768497d8143d9aa7c231",
+    }
+
+    @pytest.mark.parametrize("name", list(PINNED_KEYS))
+    def test_registered_scenarios_keep_their_cache_keys(self, name):
+        assert get_scenario(name).jobs()[0].content_hash() == self.PINNED_KEYS[name]
 
 
 class TestRunnerIntegration:
