@@ -55,7 +55,7 @@ print()
 # Compare MET (wait for the perfect device) against APT (divert within
 # the threshold) on the same pipeline.
 # ---------------------------------------------------------------------
-sim = Simulator(system, lookup, collect_trace=True)
+sim = Simulator(system, lookup)
 for label, policy in (("MET", MET()), ("APT α=4", APT(alpha=4.0))):
     result = sim.run(dfg, policy)
     m = result.metrics

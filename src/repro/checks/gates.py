@@ -36,7 +36,15 @@ FENCE = re.compile(r"^```(?P<info>[^\n`]*)\n(?P<body>.*?)^```\s*$", re.M | re.S)
 
 #: Example scripts covered by the docs gate (repo-relative).  Each must
 #: honour REPRO_EXAMPLE_FAST=1 with a seconds-scale configuration.
-EXAMPLE_SCRIPTS = ["examples/open_system_saturation.py"]
+EXAMPLE_SCRIPTS = [
+    "examples/alpha_tuning_study.py",
+    "examples/custom_hardware_calibration.py",
+    "examples/edge_cluster_topology.py",
+    "examples/medical_imaging_pipeline.py",
+    "examples/open_system_saturation.py",
+    "examples/quickstart.py",
+    "examples/streaming_service.py",
+]
 
 
 def _first_traceback_line(exc_text: str) -> str:

@@ -44,6 +44,7 @@ Every sweep-shaped subcommand (``compare``, ``sweep``, ``table``,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -82,6 +83,7 @@ _FIGURES = {
 }
 
 
+@functools.cache  # built once per process; in-process callers reuse it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="apt-sched",

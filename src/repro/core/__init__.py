@@ -17,7 +17,8 @@ subpackage rebuilds that simulator:
 * :mod:`repro.core.reference` — the pre-refactor loop, kept as an oracle;
 * :mod:`repro.core.schedule` — the schedule record a run produces;
 * :mod:`repro.core.metrics` — makespan, utilization and λ-delay metrics;
-* :mod:`repro.core.trace` — optional step-by-step state traces (Figure 5).
+* :mod:`repro.core.trace` — step-by-step state traces rebuilt from a
+  schedule (Figure 5).
 """
 
 from repro.core.system import Processor, ProcessorType, SystemConfig, CPU_GPU_FPGA

@@ -8,6 +8,10 @@ inbound transfer and compute time) — is answered by one
 :class:`CostModel` object, built once per :class:`~repro.core.simulator.
 Simulator` from its configuration.
 
+The model is the paper's (§3.2): a kernel pays one inbound transfer,
+the slowest from a cross-processor predecessor (its ``d_jk``), of
+:data:`ELEMENT_SIZE`-byte single-precision elements.
+
 Centralizing the model closes two historical leaks:
 
 * static plans used to budget transfer costs at the configured link rate
@@ -35,8 +39,9 @@ from repro.core.system import ProcessorType, SystemConfig
 if TYPE_CHECKING:  # pragma: no cover
     from repro.graphs.dfg import DFG
 
-#: Transfer-combination modes (mirrors the Simulator's contract).
-VALID_TRANSFER_MODES = ("single", "per_predecessor")
+#: Bytes per data element: single-precision words, matching the OpenCL
+#: kernels the paper measures (transfer bytes = elements × size).
+ELEMENT_SIZE = 4
 
 
 class CostModel:
@@ -48,12 +53,6 @@ class CostModel:
         The hardware platform (processors and links).
     lookup:
         Execution-time table.
-    element_size:
-        Bytes per data element (transfer bytes = elements × size).
-    transfer_mode:
-        ``"single"``: one inbound transfer — the max over cross-processor
-        predecessors (the paper's ``d_jk`` model).  ``"per_predecessor"``:
-        transfers from distinct predecessors serialize (sum).
     transfers_enabled:
         When false, every transfer cost is exactly 0.0 — planning,
         selection and execution all see the same zero.
@@ -62,8 +61,6 @@ class CostModel:
     __slots__ = (
         "system",
         "lookup",
-        "element_size",
-        "transfer_mode",
         "transfers_enabled",
         "_ptypes",
         "_exec_memo",
@@ -75,21 +72,10 @@ class CostModel:
         self,
         system: SystemConfig,
         lookup: LookupTable,
-        element_size: int = 4,
-        transfer_mode: str = "single",
         transfers_enabled: bool = True,
     ) -> None:
-        if transfer_mode not in VALID_TRANSFER_MODES:
-            raise ValueError(
-                f"transfer_mode must be one of {VALID_TRANSFER_MODES}, "
-                f"got {transfer_mode!r}"
-            )
-        if element_size <= 0:
-            raise ValueError("element_size must be positive")
         self.system = system
         self.lookup = lookup
-        self.element_size = int(element_size)
-        self.transfer_mode = transfer_mode
         self.transfers_enabled = bool(transfers_enabled)
         self._ptypes = system.processor_types()
         self._exec_memo: dict[tuple[str, int, ProcessorType], float] = {}
@@ -126,7 +112,7 @@ class CostModel:
     # ------------------------------------------------------------------
     def data_bytes(self, data_size: int) -> int:
         """Bytes moved for a kernel of ``data_size`` elements."""
-        return data_size * self.element_size
+        return data_size * ELEMENT_SIZE
 
     def transfer_time_ms(self, src: str, dst: str, nbytes: float) -> float:
         """Link transfer time — exactly 0.0 when transfers are disabled.
@@ -176,12 +162,6 @@ class CostModel:
                 sources.append(src)
         return sources
 
-    def combine_transfers(self, costs: list[float]) -> float:
-        """Fold per-predecessor transfer costs per ``transfer_mode``."""
-        if not costs:
-            return 0.0
-        return sum(costs) if self.transfer_mode == "per_predecessor" else max(costs)
-
     def inbound_transfer(
         self,
         dfg: "DFG",
@@ -191,7 +171,8 @@ class CostModel:
         predecessors: list[int] | None = None,
         nbytes: int | None = None,
     ) -> float:
-        """Inbound transfer time if ``kernel_id`` ran on ``target``.
+        """Inbound transfer time if ``kernel_id`` ran on ``target``: the
+        largest transfer from a cross-processor predecessor.
 
         Predecessors not yet assigned (or assigned to ``target`` itself)
         contribute nothing.  ``predecessors`` and ``nbytes`` may be passed
@@ -205,16 +186,16 @@ class CostModel:
         if not preds:
             return 0.0
         if nbytes is None:
-            nbytes = dfg.spec(kernel_id).data_size * self.element_size
-        costs = []
+            nbytes = dfg.spec(kernel_id).data_size * ELEMENT_SIZE
+        slowest = 0.0
         for pred in preds:
             src = assignment_of.get(pred)
             if src is None or src == target:
                 continue
             c = self.system.transfer_time_ms(src, target, nbytes)
-            if c > 0.0:
-                costs.append(c)
-        return self.combine_transfers(costs)
+            if c > slowest:
+                slowest = c
+        return slowest
 
     def avg_comm(self, data_size: int) -> float:
         """Average inbound-edge communication cost for a ``data_size`` kernel.
@@ -228,7 +209,7 @@ class CostModel:
             if not self.transfers_enabled:
                 cached = 0.0
             else:
-                nbytes = data_size * self.element_size
+                nbytes = data_size * ELEMENT_SIZE
                 procs = self.system.processors
                 total = sum(
                     self.system.transfer_time_ms(a.name, b.name, nbytes)
@@ -240,26 +221,11 @@ class CostModel:
         return cached
 
     # ------------------------------------------------------------------
-    def signature(self) -> dict[str, object]:
-        """The JSON-safe knob set identifying this model's cost semantics.
-
-        System and lookup contents are deliberately excluded — callers
-        (e.g. the sweep cache key) hash those separately.
-        """
-        return {
-            "element_size": self.element_size,
-            "transfer_mode": self.transfer_mode,
-            "transfers_enabled": self.transfers_enabled,
-        }
-
     @classmethod
     def ensure(
         cls,
         system: SystemConfig,
         lookup: "LookupTable | CostModel",
-        element_size: int = 4,
-        transfer_mode: str = "single",
-        transfers_enabled: bool = True,
     ) -> "CostModel":
         """Normalize a LookupTable-or-CostModel argument to a CostModel.
 
@@ -276,17 +242,7 @@ class CostModel:
                     "the one passed alongside it"
                 )
             return lookup
-        return cls(
-            system,
-            lookup,
-            element_size=element_size,
-            transfer_mode=transfer_mode,
-            transfers_enabled=transfers_enabled,
-        )
+        return cls(system, lookup)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"CostModel(element_size={self.element_size}, "
-            f"transfer_mode={self.transfer_mode!r}, "
-            f"transfers_enabled={self.transfers_enabled})"
-        )
+        return f"CostModel(transfers_enabled={self.transfers_enabled})"

@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 import numpy as np
 
+from repro.core.cost import ELEMENT_SIZE
 from repro.core.engine import EngineCore, RuntimeDynamics, _ResidentGraph
 from repro.core.events import Event, EventKind
 from repro.core.metrics import (
@@ -264,7 +265,7 @@ class ContentionDynamics(RuntimeDynamics):
         """
         e = self.engine
         now = e.now
-        nbytes = spec.data_size * e.cost.element_size
+        nbytes = spec.data_size * ELEMENT_SIZE
         sources = e.cost.transfer_flow_sources(
             e.preds_of[kid], e.assignment_of, name, nbytes
         )

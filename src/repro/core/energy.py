@@ -23,13 +23,11 @@ Energies are reported in joules (W × ms / 1000).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
+from repro.core.metrics import SimulationMetrics, compute_metrics
 from repro.core.schedule import Schedule
 from repro.core.system import ProcessorType, SystemConfig
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.metrics import SimulationMetrics
 
 
 @dataclass(frozen=True)
@@ -127,39 +125,27 @@ def energy_of(
     Every processor draws idle power from t = 0 to the makespan except
     while computing (busy power) or receiving data (transfer power) —
     the whole system is assumed powered for the duration of the run,
-    matching how a shared heterogeneous node is actually billed.
+    matching how a shared heterogeneous node is actually billed.  The
+    per-processor sums are :func:`~repro.core.metrics.compute_metrics`'
+    usage, priced by :func:`energy_from_metrics`.
     """
-    makespan = schedule.makespan
-    by_proc = schedule.by_processor()
-    out: dict[str, ProcessorEnergy] = {}
-    for proc in system:
-        entries = by_proc.get(proc.name, [])
-        compute_ms = sum(e.exec_time for e in entries)
-        transfer_ms = sum(e.transfer_time for e in entries)
-        idle_ms = max(0.0, makespan - compute_ms - transfer_ms)
-        out[proc.name] = ProcessorEnergy(
-            processor=proc.name,
-            compute_joules=compute_ms / 1e3 * power_model.busy(proc.ptype),
-            transfer_joules=transfer_ms / 1e3 * power_model.transfer(proc.ptype),
-            idle_joules=idle_ms / 1e3 * power_model.idle(proc.ptype),
-        )
-    return EnergyReport(per_processor=out, makespan_ms=makespan)
+    return energy_from_metrics(compute_metrics(schedule, system), system, power_model)
 
 
 def energy_from_metrics(
-    metrics: "SimulationMetrics",
+    metrics: SimulationMetrics,
     system: SystemConfig,
     power_model: PowerModel = DEFAULT_POWER_MODEL,
 ) -> EnergyReport:
     """Integrate the power model over already-reduced usage metrics.
 
-    The open-system path's energy backend: a ``retain_schedule=False``
-    run has no schedule to hand :func:`energy_of`, but its
-    :class:`~repro.core.metrics.SimulationMetrics` carry exactly the
-    per-processor compute/transfer/idle sums the integration needs — in
-    the same reduction order as the batch path, so the report is
-    bit-equal to :func:`energy_of` on the retained schedule (asserted in
-    ``tests/test_energy.py``).
+    The one energy reduction: :func:`energy_of` and every simulation
+    result price their :class:`~repro.core.metrics.SimulationMetrics`
+    here.  A ``retain_schedule=False`` run has no schedule, but its
+    metrics carry exactly the per-processor compute/transfer/idle sums
+    the integration needs — in the same reduction order as the batch
+    path, so the report is bit-equal to :func:`energy_of` on the
+    retained schedule (asserted in ``tests/test_energy.py``).
     """
     out: dict[str, ProcessorEnergy] = {}
     for proc in system:

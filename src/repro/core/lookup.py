@@ -50,21 +50,20 @@ class KernelNotFoundError(KeyError):
 class LookupTable:
     """Execution times for kernels by data size and processor type.
 
+    Queries at unmeasured data sizes are answered by log-log linear
+    interpolation within the kernel/processor series, and by linear
+    time/size scaling from the nearest endpoint outside the measured
+    range.
+
     Parameters
     ----------
     entries:
         The measured points.  Duplicate ``(kernel, size, ptype)`` keys are
         rejected — a table with two different measurements for the same
         point is ambiguous.
-    interpolate:
-        If true (default), queries at unmeasured data sizes are answered by
-        log-log linear interpolation within the kernel/processor series,
-        and by linear time/size scaling from the nearest endpoint outside
-        the measured range.  If false, unmeasured sizes raise ``KeyError``.
     """
 
-    def __init__(self, entries: Iterable[LookupEntry], interpolate: bool = True) -> None:
-        self._interpolate = bool(interpolate)
+    def __init__(self, entries: Iterable[LookupEntry]) -> None:
         # series[(kernel, ptype)] = (sorted sizes, times aligned with sizes)
         staging: dict[tuple[str, ProcessorType], dict[int, float]] = {}
         for e in entries:
@@ -94,11 +93,7 @@ class LookupTable:
     # construction helpers
     # ------------------------------------------------------------------
     @classmethod
-    def from_records(
-        cls,
-        records: Iterable[Mapping[str, object]],
-        interpolate: bool = True,
-    ) -> "LookupTable":
+    def from_records(cls, records: Iterable[Mapping[str, object]]) -> "LookupTable":
         """Build from dict records with keys kernel/data_size/ptype/time_ms."""
         entries = [
             LookupEntry(
@@ -109,7 +104,7 @@ class LookupTable:
             )
             for r in records
         ]
-        return cls(entries, interpolate=interpolate)
+        return cls(entries)
 
     def to_records(self) -> list[dict[str, object]]:
         """Dump as plain dict records (inverse of :meth:`from_records`)."""
@@ -124,9 +119,9 @@ class LookupTable:
         return out
 
     @classmethod
-    def from_json(cls, path: str | Path, interpolate: bool = True) -> "LookupTable":
+    def from_json(cls, path: str | Path) -> "LookupTable":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_records(json.load(fh), interpolate=interpolate)
+            return cls.from_records(json.load(fh))
 
     def to_json(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -134,18 +129,11 @@ class LookupTable:
 
     def merged_with(self, other: "LookupTable") -> "LookupTable":
         """A new table containing both tables' points (keys must not clash)."""
-        return LookupTable(
-            list(self.entries()) + list(other.entries()), interpolate=self._interpolate
-        )
+        return LookupTable(list(self.entries()) + list(other.entries()))
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    @property
-    def interpolate(self) -> bool:
-        """Whether unmeasured data sizes are interpolated (vs raising)."""
-        return self._interpolate
-
     @property
     def kernels(self) -> tuple[str, ...]:
         return self._kernels
@@ -189,7 +177,7 @@ class LookupTable:
         """Execution time in ms of ``kernel`` at ``data_size`` on ``ptype``.
 
         Exact measurements are returned as-is; other sizes are interpolated
-        (see class docstring) when interpolation is enabled.
+        (see class docstring).
         """
         exact = self._exact.get((kernel, ptype, data_size))
         if exact is not None:
@@ -203,11 +191,6 @@ class LookupTable:
         idx = bisect.bisect_left(sizes, data_size)
         if idx < len(sizes) and sizes[idx] == data_size:
             return times[idx]
-        if not self._interpolate:
-            raise KeyError(
-                f"data_size {data_size} not measured for kernel={kernel!r} on {ptype} "
-                f"(interpolation disabled)"
-            )
         if data_size <= 0:
             raise ValueError(f"data_size must be positive, got {data_size}")
         if len(sizes) == 1:
@@ -302,4 +285,4 @@ def scale_heterogeneity(table: LookupTable, beta: float) -> LookupTable:
             out.append(
                 LookupEntry(e.kernel, e.data_size, e.ptype, g * (e.time_ms / g) ** beta)
             )
-    return LookupTable(out, interpolate=table._interpolate)
+    return LookupTable(out)

@@ -24,7 +24,6 @@ from repro.core.events import Event, EventKind, EventQueue
 from repro.core.metrics import compute_metrics
 from repro.core.schedule import Schedule, ScheduleEntry
 from repro.core.simulator import SimulationResult, Simulator
-from repro.core.trace import StateTrace
 from repro.graphs.dfg import DFG
 from repro.policies.base import (
     Assignment,
@@ -217,7 +216,4 @@ class ReferenceSimulator(Simulator):
             policy_name=policy.name,
             policy_stats=stats,
             dfg_name=dfg.name,
-            trace=StateTrace.from_schedule(schedule, self.system)
-            if self.collect_trace
-            else None,
         )

@@ -41,9 +41,10 @@ Scheduling semantics (unchanged by the split):
   to idle processors (APT, MET, SPN, SS, and the static plans) keep queues
   at length ≤ 1; Adaptive Greedy queues kernels onto busy processors.
 * When a processor picks up a kernel, the kernel's *inbound data transfer*
-  runs first (if any predecessor executed elsewhere), then the kernel
-  computes for its lookup-table time.  The processor is occupied for both
-  phases.
+  runs first (if any predecessor executed elsewhere: one transfer, the
+  slowest from a cross-processor predecessor — the paper's ``d_jk``),
+  then the kernel computes for its lookup-table time.  The processor is
+  occupied for both phases.
 * A kernel becomes **ready** the instant its last predecessor finishes;
   its λ delay is the gap from that instant to the start of its execution.
 * The policy is (re-)invoked after every batch of simultaneous events and
@@ -146,7 +147,6 @@ from repro.core.metrics import (
 )
 from repro.core.schedule import Schedule
 from repro.core.system import SystemConfig
-from repro.core.trace import StateTrace
 from repro.graphs.dfg import DFG
 from repro.policies.base import DynamicPolicy, Policy, StaticPolicy
 from repro.policies.plan import PlanDispatcher
@@ -195,7 +195,6 @@ class StreamResult:
     policy_name: str
     policy_stats: dict[str, object]
     source_name: str
-    trace: StateTrace | None = None
     energy: EnergyReport | None = None
     dynamics_stats: Mapping[str, dict[str, object]] = field(default_factory=dict)
 
@@ -213,7 +212,6 @@ class SimulationResult:
     policy_name: str
     policy_stats: dict[str, object]
     dfg_name: str
-    trace: StateTrace | None = None
     dynamics_stats: Mapping[str, dict[str, object]] = field(default_factory=dict)
 
     @property
@@ -238,22 +236,12 @@ class Simulator:
         The hardware platform.
     lookup:
         Execution-time table; must cover every kernel type the DFGs use.
-    element_size:
-        Bytes per data element, for transfer times (default 4 — single-
-        precision words, matching the OpenCL kernels the paper measures).
-    transfer_mode:
-        ``"single"`` (default): one inbound transfer of the kernel's data,
-        i.e. the max over cross-processor predecessors — the paper's
-        ``d_jk`` edge-cost model.  ``"per_predecessor"``: transfers from
-        distinct predecessors serialize (sum).
     transfers_enabled:
         Set false to zero all transfer times (the Figure 5 example does
         this: "to simplify the example, we do not consider transfer
         times").  The zero applies *everywhere*: static planning, dynamic
         policies' transfer estimates and execution all consult the same
         :class:`~repro.core.cost.CostModel`.
-    collect_trace:
-        Record a :class:`~repro.core.trace.StateTrace` of the run.
     exec_noise_sigma:
         Standard deviation of multiplicative log-normal noise applied to
         *actual* execution times.  Policies keep deciding on the clean
@@ -278,42 +266,17 @@ class Simulator:
         self,
         system: SystemConfig,
         lookup: LookupTable,
-        element_size: int = 4,
-        transfer_mode: str = "single",
         transfers_enabled: bool = True,
-        collect_trace: bool = False,
         exec_noise_sigma: float = 0.0,
         noise_seed: int = 0,
         dynamics: "Sequence[RuntimeDynamics | DynamicsSpec] | None" = None,
     ) -> None:
         if exec_noise_sigma < 0:
             raise ValueError("exec_noise_sigma must be >= 0")
-        topo = system.topology
-        if (
-            topo is not None
-            and topo.contended
-            and transfers_enabled
-            and transfer_mode != "single"
-        ):
-            raise ValueError(
-                "contended topologies model one concurrent flow per "
-                "predecessor source, which is the 'single' (max) transfer "
-                f"mode; transfer_mode={transfer_mode!r} is not supported"
-            )
-        # CostModel validates transfer_mode and element_size.
-        self.cost = CostModel(
-            system,
-            lookup,
-            element_size=element_size,
-            transfer_mode=transfer_mode,
-            transfers_enabled=transfers_enabled,
-        )
+        self.cost = CostModel(system, lookup, transfers_enabled=transfers_enabled)
         self.system = system
         self.lookup = lookup
-        self.element_size = self.cost.element_size
-        self.transfer_mode = transfer_mode
         self.transfers_enabled = transfers_enabled
-        self.collect_trace = collect_trace
         self.exec_noise_sigma = float(exec_noise_sigma)
         self.noise_seed = int(noise_seed)
         self.dynamics = tuple(dynamics or ())
@@ -400,7 +363,6 @@ class Simulator:
                 policy_name=policy.name,
                 policy_stats=policy.stats(),
                 dfg_name=dfg.name,
-                trace=StateTrace([]) if self.collect_trace else None,
             )
 
         driver: DynamicPolicy
@@ -440,9 +402,6 @@ class Simulator:
             policy_name=policy.name,
             policy_stats=policy.stats(),
             dfg_name=dfg.name,
-            trace=StateTrace.from_schedule(schedule, self.system)
-            if self.collect_trace
-            else None,
             dynamics_stats=engine.dynamics_stats(),
         )
 
@@ -476,7 +435,7 @@ class Simulator:
         ``retain_schedule=False`` drops each schedule entry after feeding
         the metric accumulators — the bounded-memory mode for very long
         streams; ``metrics``/``service``/``energy`` are computed
-        identically, but ``schedule`` (and any trace) is ``None``.
+        identically, but ``schedule`` is ``None``.
         """
         from repro.graphs.sources import ArrivalSource, EagerSource
 
@@ -513,7 +472,6 @@ class Simulator:
                 policy_name=result.policy_name,
                 policy_stats=result.policy_stats,
                 source_name=source.name,
-                trace=result.trace if retain_schedule else None,
                 energy=energy_from_metrics(result.metrics, self.system),
                 dynamics_stats=result.dynamics_stats,
             )
@@ -559,9 +517,6 @@ class Simulator:
             policy_name=policy.name,
             policy_stats=policy.stats(),
             source_name=source.name,
-            trace=StateTrace.from_schedule(schedule, self.system)
-            if self.collect_trace and schedule is not None
-            else None,
             energy=energy_from_metrics(metrics, self.system),
             dynamics_stats=engine.dynamics_stats(),
         )

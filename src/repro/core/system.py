@@ -10,14 +10,15 @@ Units
 -----
 * time       — milliseconds (matching the paper's lookup table),
 * bandwidth  — GB/s (decimal: 1 GB/s = 1e9 bytes/s = 1e6 bytes/ms),
-* data size  — element counts on kernels; bytes = elements × element_size.
+* data size  — element counts on kernels; bytes = elements ×
+  :data:`~repro.core.cost.ELEMENT_SIZE`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from repro.core.topology import Route, Topology, validate_rate
 
@@ -88,33 +89,25 @@ class SystemConfig:
     processors:
         Devices in the system.  Names must be unique.
     transfer_rate_gbps:
-        Default bandwidth applied between every processor pair (the paper
-        keeps all links at the same rate).
-    link_overrides:
-        Optional per-pair bandwidth overrides, keyed by ``(src, dst)`` name
-        pairs.  Links are treated as symmetric: an override for
-        ``("a", "b")`` also applies to ``("b", "a")`` unless that direction
-        has its own entry.
+        Bandwidth between every processor pair (the paper keeps all
+        links at the same rate).
     topology:
         Optional explicit interconnect graph
         (:class:`~repro.core.topology.Topology`).  When given, transfer
         times follow the topology's precomputed routes (bottleneck
-        bandwidth + summed latency) instead of the flat per-pair table,
-        and ``link_overrides`` must be empty (per-pair rates belong to
-        the flat model; shape per-edge rates in the topology instead).
-        A uniform zero-latency star reproduces the flat table
-        bit-for-bit.
+        bandwidth + summed latency) instead of the uniform rate; a
+        per-pair rate is a topology edge.  A uniform zero-latency star
+        reproduces the flat table bit-for-bit.
 
-    All rates — the default, the per-pair overrides and the topology's
-    edges — are validated by the same rule: positive, not NaN
-    (``inf`` is allowed, meaning "never the bottleneck").
+    All rates — the default and the topology's edges — are validated by
+    the same rule: positive, not NaN (``inf`` is allowed, meaning "never
+    the bottleneck").
     """
 
     def __init__(
         self,
         processors: Iterable[Processor],
         transfer_rate_gbps: float = 4.0,
-        link_overrides: Mapping[tuple[str, str], float] | None = None,
         topology: Topology | None = None,
     ) -> None:
         self._processors: tuple[Processor, ...] = tuple(processors)
@@ -125,16 +118,6 @@ class SystemConfig:
             raise ValueError(f"duplicate processor names: {names}")
         self._default_rate = validate_rate(transfer_rate_gbps, "transfer_rate_gbps")
         self._by_name = {p.name: p for p in self._processors}
-        self._overrides: dict[tuple[str, str], float] = {}
-        if topology is not None and link_overrides:
-            raise ValueError(
-                "link_overrides and topology are mutually exclusive: "
-                "express per-link rates as topology edges"
-            )
-        for (a, b), rate in (link_overrides or {}).items():
-            if a not in self._by_name or b not in self._by_name:
-                raise KeyError(f"link override references unknown processor: {(a, b)}")
-            self._overrides[(a, b)] = validate_rate(rate, f"link rate for {(a, b)}")
         self.topology = topology
         if topology is not None and set(topology.processor_nodes) != set(names):
             raise ValueError(
@@ -165,15 +148,11 @@ class SystemConfig:
         self._rate_divisor: dict[tuple[str, str], float] = {}
         self._latency: dict[tuple[str, str], float] | None = None
         if topology is None:
+            divisor = self._default_rate * 1e6
             for a in self._processors:
                 for b in self._processors:
-                    if a.name == b.name:
-                        continue
-                    rate = self._overrides.get(
-                        (a.name, b.name),
-                        self._overrides.get((b.name, a.name), self._default_rate),
-                    )
-                    self._rate_divisor[(a.name, b.name)] = rate * 1e6
+                    if a.name != b.name:
+                        self._rate_divisor[(a.name, b.name)] = divisor
         else:
             latency: dict[tuple[str, str], float] = {}
             for route in topology.routes():
@@ -193,11 +172,6 @@ class SystemConfig:
     @property
     def default_rate_gbps(self) -> float:
         return self._default_rate
-
-    @property
-    def link_overrides(self) -> dict[tuple[str, str], float]:
-        """Per-pair bandwidth overrides (a copy), keyed by name pairs."""
-        return dict(self._overrides)
 
     def __len__(self) -> int:
         return len(self._processors)
@@ -234,10 +208,7 @@ class SystemConfig:
             raise KeyError(f"unknown processor in link query: {(src, dst)}")
         if self.topology is not None:
             return Link(src, dst, self.topology.route(src, dst).bottleneck_gbps)
-        rate = self._overrides.get(
-            (src, dst), self._overrides.get((dst, src), self._default_rate)
-        )
-        return Link(src, dst, rate)
+        return Link(src, dst, self._default_rate)
 
     def route(self, src: str, dst: str) -> "Route | None":
         """The topology route between two processors; ``None`` on flat systems."""

@@ -112,7 +112,7 @@ HARDWARE_PLATFORMS: tuple[HardwarePlatform, ...] = (
 )
 
 
-def paper_lookup_table(interpolate: bool = True) -> LookupTable:
+def paper_lookup_table() -> LookupTable:
     """The complete Table 14 lookup table as a :class:`LookupTable`."""
     entries: list[LookupEntry] = []
     for kernel, series in _TABLE14.items():
@@ -120,7 +120,7 @@ def paper_lookup_table(interpolate: bool = True) -> LookupTable:
             entries.append(LookupEntry(kernel, size, ProcessorType.CPU, cpu))
             entries.append(LookupEntry(kernel, size, ProcessorType.GPU, gpu))
             entries.append(LookupEntry(kernel, size, ProcessorType.FPGA, fpga))
-    return LookupTable(entries, interpolate=interpolate)
+    return LookupTable(entries)
 
 
 def figure5_lookup_table() -> LookupTable:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from repro.core.simulator import SimulationResult, Simulator
 from repro.core.system import CPU_GPU_FPGA
+from repro.core.trace import StateTrace
 from repro.data.paper_tables import FIGURE5_KERNELS, figure5_lookup_table
 from repro.experiments.report import FigureResult
 from repro.experiments.runner import PAPER_ALPHAS, PAPER_RATES_GBPS, mean, paper_spec
@@ -52,18 +53,15 @@ def figure5_schedule_example(alpha: float = 8.0) -> ScheduleExample:
     match: MET ends at 318.093 ms, APT at 212.093 ms.
     """
     system = CPU_GPU_FPGA()
-    sim = Simulator(
-        system, figure5_lookup_table(), transfers_enabled=False, collect_trace=True
-    )
+    sim = Simulator(system, figure5_lookup_table(), transfers_enabled=False)
     dfg = DFG.from_kernels(FIGURE5_KERNELS, name="figure5")
     met = sim.run(dfg, MET())
     apt = sim.run(dfg, APT(alpha=alpha))
-    assert met.trace is not None and apt.trace is not None
     return ScheduleExample(
         met=met,
         apt=apt,
-        met_trace=met.trace.format(system),
-        apt_trace=apt.trace.format(system),
+        met_trace=StateTrace.from_schedule(met.schedule, system).format(system),
+        apt_trace=StateTrace.from_schedule(apt.schedule, system).format(system),
     )
 
 

@@ -42,6 +42,7 @@ from repro.core.topology import (
 from repro.data.paper_tables import paper_lookup_table
 from repro.experiments.report import TableResult
 from repro.experiments.sweep import (
+    LINK_OVERRIDES_ERROR,
     JobResult,
     PolicySpec,
     SimSettings,
@@ -153,6 +154,9 @@ class ScenarioSpec:
     form of the platform (processors, flat rate, optional topology) —
     already the serialization the sweep engine hashes, so the scenario's
     platform enters every job's cache key unchanged.
+
+    Construction rejects a ``system`` whose ``link_overrides`` is not
+    empty, so such a spec fails where it enters, not when it is expanded.
     """
 
     name: str
@@ -168,6 +172,8 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if not self.policies:
             raise ValueError(f"scenario {self.name!r} has an empty policy grid")
+        if self.system.get("link_overrides"):
+            raise ValueError(LINK_OVERRIDES_ERROR)
 
     # ------------------------------------------------------------------
     def build_system(self) -> SystemConfig:
@@ -209,7 +215,7 @@ class ScenarioSpec:
             "system": dict(self.system),
             "workload": self.workload.to_dict(),
             "policies": [p.to_dict() for p in self.policies],
-            "settings": self.settings.to_dict(),
+            "settings": self.settings.noise_dict(),
             "dynamics": [d.to_dict() for d in self.dynamics],
         }
 

@@ -53,8 +53,9 @@ try:  # pragma: no cover - fcntl is stdlib on every POSIX platform
 except ImportError:  # pragma: no cover - Windows fallback: locking no-ops
     fcntl = None  # type: ignore[assignment]
 
+from repro.core.cost import ELEMENT_SIZE
 from repro.core.dynamics import DynamicsSpec
-from repro.core.energy import DEFAULT_POWER_MODEL, PowerModel, energy_of
+from repro.core.energy import DEFAULT_POWER_MODEL, PowerModel, energy_from_metrics
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.metrics import AppSpan
@@ -71,8 +72,7 @@ from repro.policies.registry import get_policy
 #: content hash, so stale cache entries are never misread.
 #: v2: the cost-model knobs (element_size / transfer_mode /
 #: transfers_enabled) moved into a dedicated ``cost_model`` payload
-#: section, mirroring :class:`repro.core.cost.CostModel.signature` — the
-#: cache key now names the cost model explicitly.
+#: section — the cache key now names the cost model explicitly.
 #: v3: the system section gained a ``topology`` entry (the interconnect
 #: graph, including its contention switch), so topology-shaped systems
 #: hash differently from flat ones even when their uncontended costs
@@ -101,46 +101,49 @@ SWEEP_FORMAT_VERSION = 7
 # ----------------------------------------------------------------------
 # serializable job ingredients
 # ----------------------------------------------------------------------
+#: Why a system description naming per-pair link rates is refused.
+LINK_OVERRIDES_ERROR = (
+    "system.link_overrides must be empty: a per-pair rate is a topology edge"
+)
+
+
 @dataclass(frozen=True)
 class SimSettings:
     """Simulator knobs that affect results (all part of the job hash).
 
-    The first three fields are the :class:`repro.core.cost.CostModel`
-    knobs; they enter the payload as its own ``cost_model`` section (see
-    :meth:`cost_model_dict`) so the cache key names the cost model that
-    priced the run.
+    Every job runs the paper's cost model: :data:`~repro.core.cost.
+    ELEMENT_SIZE`-byte elements, one inbound transfer (the slowest from
+    a cross-processor predecessor), transfers on.  The payload still names it in its own ``cost_model`` section
+    (see :meth:`cost_model_dict`), so the cache key names the cost model
+    that priced the run.
     """
 
-    element_size: int = 4
-    transfer_mode: str = "single"
-    transfers_enabled: bool = True
     exec_noise_sigma: float = 0.0
     noise_seed: int = 0
 
     def cost_model_dict(self) -> dict[str, object]:
-        """The cost-model signature (matches ``CostModel.signature()``)."""
+        """The cost model every job runs, as the payload names it."""
         return {
-            "element_size": self.element_size,
-            "transfer_mode": self.transfer_mode,
-            "transfers_enabled": self.transfers_enabled,
+            "element_size": ELEMENT_SIZE,
+            "transfer_mode": "single",
+            "transfers_enabled": True,
         }
 
     def noise_dict(self) -> dict[str, object]:
-        """The execution-noise knobs (everything outside the cost model)."""
+        """The execution-noise knobs: the serialized settings."""
         return {
             "exec_noise_sigma": self.exec_noise_sigma,
             "noise_seed": self.noise_seed,
         }
 
-    def to_dict(self) -> dict[str, object]:
-        return {**self.cost_model_dict(), **self.noise_dict()}
-
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "SimSettings":
+        """Inverse of :meth:`noise_dict`.  Any other key is rejected, not
+        dropped: it would ask for a cost model this code does not run."""
+        unknown = sorted(set(data) - {"exec_noise_sigma", "noise_seed"})
+        if unknown:
+            raise ValueError(f"unknown settings keys: {', '.join(unknown)}")
         return cls(
-            element_size=int(data["element_size"]),  # type: ignore[arg-type]
-            transfer_mode=str(data["transfer_mode"]),
-            transfers_enabled=bool(data["transfers_enabled"]),
             exec_noise_sigma=float(data["exec_noise_sigma"]),  # type: ignore[arg-type]
             noise_seed=int(data["noise_seed"]),  # type: ignore[arg-type]
         )
@@ -204,33 +207,31 @@ def system_to_dict(system: SystemConfig) -> dict[str, object]:
     The ``topology`` entry (``None`` for flat systems) is part of the
     job content hash: two systems with identical uncontended costs but
     different interconnect graphs — or the same graph with contention
-    toggled — must never share a cache entry.
+    toggled — must never share a cache entry.  ``link_overrides`` is
+    always empty (a per-pair rate is a topology edge); it stays so every
+    stored cache key holds.
     """
     return {
         "processors": [[p.name, p.ptype.value] for p in system],
         "rate_gbps": system.default_rate_gbps,
-        "link_overrides": sorted(
-            [a, b, rate] for (a, b), rate in system.link_overrides.items()
-        ),
+        "link_overrides": [],
         "topology": system.topology.to_dict() if system.topology is not None else None,
     }
 
 
 def system_from_dict(data: Mapping[str, object]) -> SystemConfig:
-    """Inverse of :func:`system_to_dict`."""
+    """Inverse of :func:`system_to_dict`; rejects ``link_overrides``
+    that are not empty rather than building a different system."""
+    if data.get("link_overrides"):
+        raise ValueError(LINK_OVERRIDES_ERROR)
     procs = [
         Processor(str(name), ProcessorType(str(ptype)))
         for name, ptype in data["processors"]  # type: ignore[union-attr]
     ]
-    overrides = {
-        (str(a), str(b)): float(rate)
-        for a, b, rate in data.get("link_overrides", [])  # type: ignore[union-attr]
-    }
     topo_data = data.get("topology")
     return SystemConfig(
         procs,
         transfer_rate_gbps=float(data["rate_gbps"]),  # type: ignore[arg-type]
-        link_overrides=overrides or None,
         topology=Topology.from_dict(topo_data) if topo_data else None,  # type: ignore[arg-type]
     )
 
@@ -245,18 +246,6 @@ def power_model_to_dict(model: PowerModel) -> dict[str, object]:
             else None
         ),
     }
-
-
-def power_model_from_dict(data: Mapping[str, object]) -> PowerModel:
-    def parse(table: Mapping[str, float]) -> dict[ProcessorType, float]:
-        return {ProcessorType(p): float(w) for p, w in table.items()}
-
-    transfer = data.get("transfer")
-    return PowerModel(
-        busy_watts=parse(data["busy"]),  # type: ignore[arg-type]
-        idle_watts=parse(data["idle"]),  # type: ignore[arg-type]
-        transfer_watts=parse(transfer) if transfer else None,  # type: ignore[arg-type]
-    )
 
 
 # ----------------------------------------------------------------------
@@ -279,7 +268,6 @@ class SweepJob:
     settings: SimSettings = SimSettings()
     arrivals: dict[int, float] | None = None
     tag: dict[str, object] = field(default_factory=dict)
-    lookup_interpolate: bool = True
     #: per-application kernel-id blocks ``[arrival_ms, kid_lo, kid_hi]``;
     #: presence turns on service-level metrics in the result.
     app_spans: list[list[float]] | None = None
@@ -309,7 +297,8 @@ class SweepJob:
             "dfg": self.dfg,
             "system": self.system,
             "lookup": self.lookup,
-            "lookup_interpolate": self.lookup_interpolate,
+            # tables always interpolate; naming it keeps every stored key
+            "lookup_interpolate": True,
             "policy": self.policy.to_dict(),
             "cost_model": self.settings.cost_model_dict(),
             "settings": self.settings.noise_dict(),
@@ -446,7 +435,6 @@ def make_job(
         settings=settings,
         arrivals=dict(arrivals) if arrivals else None,
         tag=dict(tag) if tag else {},
-        lookup_interpolate=lookup.interpolate,
         app_spans=app_spans_to_payload(app_spans),
         source=dict(source) if source else None,
         dynamics=[d.to_dict() for d in dynamics] if dynamics else None,
@@ -560,17 +548,11 @@ def execute_payload(payload: Mapping[str, object]) -> dict[str, object]:
     provider = payload.get("provider")
     dfg = dfg_from_dict(payload["dfg"])  # type: ignore[arg-type]
     system = system_from_dict(payload["system"])  # type: ignore[arg-type]
-    lookup = LookupTable.from_records(
-        payload["lookup"],  # type: ignore[arg-type]
-        interpolate=bool(payload.get("lookup_interpolate", True)),
-    )
+    lookup = LookupTable.from_records(payload["lookup"])  # type: ignore[arg-type]
     policy_spec = PolicySpec.from_dict(
         payload["policy"], provider=str(provider) if provider else None  # type: ignore[arg-type]
     )
-    settings = SimSettings.from_dict(
-        {**payload["cost_model"], **payload["settings"]}  # type: ignore[dict-item]
-    )
-    power_model = power_model_from_dict(payload["power_model"])  # type: ignore[arg-type]
+    settings = SimSettings.from_dict(payload["settings"])  # type: ignore[arg-type]
     raw_arrivals = payload.get("arrivals") or {}
     arrivals = {int(k): float(v) for k, v in raw_arrivals.items()}  # type: ignore[union-attr]
     dynamics = [
@@ -580,15 +562,12 @@ def execute_payload(payload: Mapping[str, object]) -> dict[str, object]:
     sim = Simulator(
         system,
         lookup,
-        element_size=settings.element_size,
-        transfer_mode=settings.transfer_mode,
-        transfers_enabled=settings.transfers_enabled,
         exec_noise_sigma=settings.exec_noise_sigma,
         noise_seed=settings.noise_seed,
         dynamics=dynamics,
     )
     result = sim.run(dfg, policy_spec.build(), arrivals=arrivals or None)
-    energy = energy_of(result.schedule, system, power_model)
+    energy = energy_from_metrics(result.metrics, system)
     alt_by_kernel: dict[str, int] = {}
     for entry in result.schedule:
         if entry.used_alternative:
@@ -926,5 +905,4 @@ __all__ = [
     "system_to_dict",
     "system_from_dict",
     "power_model_to_dict",
-    "power_model_from_dict",
 ]

@@ -27,7 +27,8 @@ class KernelSpec:
         ``"matmul"``).
     data_size:
         Problem size in elements; used both for the lookup-table query and
-        for transfer-time computation (bytes = size × element_size).
+        for transfer-time computation (bytes = size ×
+        :data:`~repro.core.cost.ELEMENT_SIZE`).
     """
 
     kernel: str

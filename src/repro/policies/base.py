@@ -26,7 +26,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Collection, Mapping, Sequence
 
-from repro.core.cost import CostModel
+from repro.core.cost import ELEMENT_SIZE, CostModel
 from repro.core.system import Processor, ProcessorType, SystemConfig
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -266,7 +266,7 @@ class SchedulingContext:
                 return cached
         preds = self._preds[kernel_id] if self._preds is not None else None
         nbytes = (
-            self._specs[kernel_id].data_size * self.cost.element_size
+            self._specs[kernel_id].data_size * ELEMENT_SIZE
             if self._specs is not None
             else None
         )

@@ -26,11 +26,10 @@ def critical_path_kernels(
     dfg: DFG,
     system: SystemConfig,
     lookup: LookupTable | CostModel,
-    element_size: int = 4,
 ) -> list[int]:
     """The CPOP critical path: kernels whose rank_u + rank_d equals the
     entry kernel's (maximal) priority, chained entry → exit."""
-    cost = CostModel.ensure(system, lookup, element_size)
+    cost = CostModel.ensure(system, lookup)
     ru = upward_rank(dfg, system, cost)
     rd = downward_rank(dfg, system, cost)
     priority = {k: ru[k] + rd[k] for k in dfg.kernel_ids()}

@@ -62,10 +62,9 @@ def upward_rank(
     dfg: DFG,
     system: SystemConfig,
     lookup: LookupTable | CostModel,
-    element_size: int = 4,
 ) -> dict[int, float]:
     """``rank_u`` for every kernel (eq. (3)); exit kernels get w̄ (eq. (4))."""
-    cost = CostModel.ensure(system, lookup, element_size)
+    cost = CostModel.ensure(system, lookup)
     ranks: dict[int, float] = {}
     for kid in reversed(dfg.topological_order()):
         w = _avg_exec(dfg, cost, kid)
@@ -81,10 +80,9 @@ def downward_rank(
     dfg: DFG,
     system: SystemConfig,
     lookup: LookupTable | CostModel,
-    element_size: int = 4,
 ) -> dict[int, float]:
     """``rank_d`` for every kernel (eq. (5)); entry kernels get 0."""
-    cost = CostModel.ensure(system, lookup, element_size)
+    cost = CostModel.ensure(system, lookup)
     ranks: dict[int, float] = {}
     for kid in dfg.topological_order():
         preds = dfg.predecessors(kid)

@@ -30,10 +30,9 @@ def optimistic_cost_table(
     dfg: DFG,
     system: SystemConfig,
     lookup: LookupTable | CostModel,
-    element_size: int = 4,
 ) -> dict[int, dict[str, float]]:
     """The OCT matrix: ``oct[kernel_id][processor_name]`` (eq. (6))."""
-    cost = CostModel.ensure(system, lookup, element_size)
+    cost = CostModel.ensure(system, lookup)
     oct_: dict[int, dict[str, float]] = {}
     procs = list(system.processors)
     for kid in reversed(dfg.topological_order()):

@@ -378,11 +378,8 @@ class JobManager:
             except (KeyError, TypeError, ValueError) as exc:
                 raise ProtocolError(f"invalid scenario spec: {exc}") from None
         if request.settings:
-            base = spec.settings.to_dict()
-            unknown = sorted(set(request.settings) - set(base))
-            if unknown:
-                raise ProtocolError(f"unknown settings keys: {', '.join(unknown)}")
-            base.update(request.settings)
+            # from_dict rejects every key but the two noise knobs
+            base = {**spec.settings.noise_dict(), **request.settings}
             try:
                 spec = dataclasses.replace(spec, settings=SimSettings.from_dict(base))
             except (TypeError, ValueError) as exc:
@@ -475,6 +472,9 @@ class JobManager:
     # ------------------------------------------------------------------
     async def _run_job(self, record: JobRecord) -> None:
         try:
+            if record.cancel_requested:  # cancelled before it started
+                self._finish_cancelled(record)
+                return
             # a large inline spec takes seconds to expand and hash; other
             # clients (and /healthz) must not wait on that
             jobs = await asyncio.to_thread(_expand, record.spec, self.lookup)

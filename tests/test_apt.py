@@ -7,6 +7,7 @@ only published experiment with fully-specified inputs.
 import pytest
 
 from repro.core.simulator import Simulator
+from repro.core.trace import StateTrace
 from repro.policies.apt import APT
 from repro.policies.met import MET
 from tests.test_simulator import dfg_of
@@ -29,7 +30,7 @@ class TestFigure5Exact:
 
     @pytest.fixture
     def sim(self, system, fig5_lookup):
-        return Simulator(system, fig5_lookup, transfers_enabled=False, collect_trace=True)
+        return Simulator(system, fig5_lookup, transfers_enabled=False)
 
     def test_met_end_time(self, sim, fig5_dfg):
         assert sim.run(fig5_dfg, MET()).makespan == pytest.approx(318.093)
@@ -37,16 +38,16 @@ class TestFigure5Exact:
     def test_apt_end_time(self, sim, fig5_dfg):
         assert sim.run(fig5_dfg, APT(alpha=8.0)).makespan == pytest.approx(212.093)
 
-    def test_apt_initial_allocation(self, sim, fig5_dfg):
+    def test_apt_initial_allocation(self, sim, fig5_dfg, system):
         # Paper Figure 5 first row: CPU:0-nw  GPU:2-bfs  FPGA:1-bfs at 0.0.
         result = sim.run(fig5_dfg, APT(alpha=8.0))
-        occ = result.trace.occupancy_at(0.0)
+        occ = StateTrace.from_schedule(result.schedule, system).occupancy_at(0.0)
         assert occ == {"cpu0": "0-nw", "gpu0": "2-bfs", "fpga0": "1-bfs"}
 
-    def test_apt_second_row_after_106(self, sim, fig5_dfg):
+    def test_apt_second_row_after_106(self, sim, fig5_dfg, system):
         # Row 2: kernel 3 (bfs) goes to the freed FPGA at t=106.
         result = sim.run(fig5_dfg, APT(alpha=8.0))
-        occ = result.trace.occupancy_at(106.0)
+        occ = StateTrace.from_schedule(result.schedule, system).occupancy_at(106.0)
         assert occ["fpga0"] == "3-bfs"
 
     def test_met_keeps_gpu_idle_throughout(self, sim, fig5_dfg):

@@ -208,6 +208,31 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["simulate", "--policy", "bogus"])
 
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        import argparse
+
+        built: list[argparse.ArgumentParser] = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            if self.prog == "apt-sched":
+                built.append(self)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        run_cli(capsys, "scenario", "list")
+        run_cli(capsys, "scenario", "list")
+        assert len(built) <= 1  # none if an earlier call built it
+
+    def test_reused_parser_keeps_no_state(self):
+        from repro.cli import _build_parser
+
+        argv = ["submit", "--scenario", "paper_type1"]
+        first = _build_parser().parse_args([*argv, "--setting", "a=1"])
+        second = _build_parser().parse_args(argv)
+        assert first.setting == ["a=1"]
+        assert second.setting == []
+
 
 class TestLoadSweep:
     def test_load_sweep_writes_curves(self, capsys, tmp_path):

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.cost import CostModel
+from repro.core.cost import ELEMENT_SIZE, CostModel
 from repro.core.simulator import Simulator
-from repro.core.system import CPU_GPU_FPGA, ProcessorType
+from repro.core.system import CPU_GPU_FPGA, Processor, ProcessorType, SystemConfig
+from repro.core.topology import TopoLink, Topology
 from repro.data.paper_tables import figure5_lookup_table
 from repro.graphs.dfg import DFG, KernelSpec
 from repro.policies.apt import APT
@@ -73,24 +74,40 @@ class TestCostModel:
         )
         assert cost_disabled.inbound_transfer(dfg, 1, "gpu0", {0: "cpu0"}) == 0.0
 
-    def test_combine_modes(self, system, synth_lookup):
-        single = CostModel(system, synth_lookup, transfer_mode="single")
-        serial = CostModel(system, synth_lookup, transfer_mode="per_predecessor")
-        assert single.combine_transfers([1.0, 2.0]) == 2.0
-        assert serial.combine_transfers([1.0, 2.0]) == 3.0
+    def test_data_bytes_counts_single_precision_elements(self, cost):
+        assert ELEMENT_SIZE == 4
+        assert cost.data_bytes(SYNTH_SIZE) == SYNTH_SIZE * 4
 
-    def test_invalid_knobs_rejected(self, system, synth_lookup):
-        with pytest.raises(ValueError, match="transfer_mode"):
-            CostModel(system, synth_lookup, transfer_mode="bogus")
-        with pytest.raises(ValueError, match="element_size"):
-            CostModel(system, synth_lookup, element_size=0)
-
-    def test_signature_names_the_knobs(self, cost_disabled):
-        assert cost_disabled.signature() == {
-            "element_size": 4,
-            "transfer_mode": "single",
-            "transfers_enabled": False,
-        }
+    def test_inbound_transfer_takes_slowest_cross_predecessor(self, synth_lookup):
+        # gpu0 <-> fpga0 at 2 GB/s, cpu0 <-> fpga0 at 1 GB/s: the kernel on
+        # fpga0 pays the 4 ms cpu0 transfer, neither the 2 ms one nor the sum.
+        system = SystemConfig(
+            [
+                Processor("cpu0", ProcessorType.CPU),
+                Processor("gpu0", ProcessorType.GPU),
+                Processor("fpga0", ProcessorType.FPGA),
+            ],
+            topology=Topology(
+                [
+                    TopoLink("cpu0", "fpga0", 1.0),
+                    TopoLink("gpu0", "fpga0", 2.0),
+                    TopoLink("cpu0", "gpu0", 4.0),
+                ]
+            ),
+        )
+        cost = CostModel(system, synth_lookup)
+        dfg = DFG.from_kernels(
+            [
+                KernelSpec("fast_cpu", SYNTH_SIZE),
+                KernelSpec("fast_gpu", SYNTH_SIZE),
+                KernelSpec("fast_fpga", SYNTH_SIZE),
+            ],
+            dependencies=[(0, 2), (1, 2)],
+        )
+        placed = {0: "cpu0", 1: "gpu0"}
+        assert cost.inbound_transfer(dfg, 2, "fpga0", placed) == pytest.approx(4.0)
+        # a same-processor predecessor is free: only gpu0's 1 ms remains
+        assert cost.inbound_transfer(dfg, 2, "cpu0", placed) == pytest.approx(1.0)
 
     def test_ensure_passes_cost_model_through(self, system, synth_lookup, cost):
         assert CostModel.ensure(system, cost) is cost

@@ -56,14 +56,15 @@ class TestCustomHardware:
 
     def test_heterogeneous_link_overrides(self):
         from repro.core.system import Processor, ProcessorType, SystemConfig
+        from repro.core.topology import TopoLink, Topology
 
         system = SystemConfig(
             [
                 Processor("cpu0", ProcessorType.CPU),
                 Processor("gpu0", ProcessorType.GPU),
             ],
-            transfer_rate_gbps=4.0,
-            link_overrides={("cpu0", "gpu0"): 0.004},  # pathologically slow
+            # a per-pair rate is a topology edge; this one is pathologically slow
+            topology=Topology([TopoLink("cpu0", "gpu0", 0.004)]),
         )
         lookup = paper_lookup_table()
         dfg = DFG.from_kernels(

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.core.lookup import KernelNotFoundError, LookupEntry, LookupTable
+from repro.core.lookup import (
+    KernelNotFoundError,
+    LookupEntry,
+    LookupTable,
+    scale_heterogeneity,
+)
 from repro.core.system import ProcessorType
 
 CPU, GPU, FPGA = ProcessorType.CPU, ProcessorType.GPU, ProcessorType.FPGA
@@ -78,12 +83,6 @@ class TestInterpolation:
         assert t.time("k", 200, CPU) == pytest.approx(20.0)
         assert t.time("k", 50, CPU) == pytest.approx(5.0)
 
-    def test_interpolation_disabled_raises_on_miss(self):
-        t = LookupTable([LookupEntry("k", 100, CPU, 1.0)], interpolate=False)
-        with pytest.raises(KeyError):
-            t.time("k", 150, CPU)
-        assert t.time("k", 100, CPU) == 1.0
-
     def test_interpolated_value_between_endpoints(self, two_point_table):
         v = two_point_table.time("k", 31_623, CPU)  # ~sqrt decade midpoint
         assert 1.0 < v < 100.0
@@ -143,6 +142,20 @@ class TestSerialization:
         rebuilt = LookupTable.from_json(path)
         assert len(rebuilt) == len(synth_lookup)
         assert rebuilt.kernels == synth_lookup.kernels
+
+    def test_loaded_and_derived_tables_interpolate(self, two_point_table, tmp_path):
+        path = tmp_path / "lookup.json"
+        two_point_table.to_json(path)
+        other = table([("other", 10, CPU, 1.0)])
+        expected = two_point_table.time("k", 10_000, CPU)
+        assert expected == pytest.approx(10.0)
+        for derived in (
+            LookupTable.from_records(two_point_table.to_records()),
+            LookupTable.from_json(path),
+            two_point_table.merged_with(other),
+            scale_heterogeneity(two_point_table, 1.0),
+        ):
+            assert derived.time("k", 10_000, CPU) == pytest.approx(expected)
 
     def test_merged_with_disjoint_tables(self):
         a = table([("a", 10, CPU, 1.0)])

@@ -202,6 +202,29 @@ class TestExecution:
                 policies=(),
             )
 
+    def test_link_overrides_rejected_where_the_spec_enters(self):
+        system = system_to_dict(CPU_GPU_FPGA())
+        system["link_overrides"] = [["cpu0", "gpu0", 8.0]]
+        with pytest.raises(ValueError, match="link_overrides"):
+            ScenarioSpec(
+                name="x",
+                description="",
+                system=system,
+                workload=WorkloadSpec.of("pipeline", n_kernels=8),
+                policies=MET,
+            )
+        data = get_scenario("paper_type1").to_dict()
+        data["system"] = system
+        with pytest.raises(ValueError, match="link_overrides"):
+            ScenarioSpec.from_dict(data)
+
+    def test_settings_serialize_only_the_noise_knobs(self):
+        data = get_scenario("paper_type1").to_dict()
+        assert set(data["settings"]) == {"exec_noise_sigma", "noise_seed"}
+        data["settings"] = {**data["settings"], "transfer_mode": "single"}
+        with pytest.raises(ValueError, match="transfer_mode"):
+            ScenarioSpec.from_dict(data)
+
 
 MET = (PolicySpec.of("met"),)
 

@@ -287,9 +287,12 @@ class TestJobManager:
         ticks = 0
         seen: list[int] = []
         jobs = ScenarioSpec.jobs
+        loop = manager = record = None
 
         def watched(spec, *args, **kwargs):
             seen.append(ticks)
+            # cancel mid-expansion: the expansion finishes, nothing simulates
+            loop.call_soon_threadsafe(manager.cancel, record.id)
             try:
                 return jobs(spec, *args, **kwargs)
             finally:
@@ -306,10 +309,10 @@ class TestJobManager:
         ).to_dict()
 
         async def scenario():
-            nonlocal ticks
+            nonlocal ticks, loop, manager, record
+            loop = asyncio.get_running_loop()
             manager = self.manager(executor=InlineExecutor(slots=1))
             record = manager.submit(SubmitRequest.from_dict({"spec": spec}))
-            manager.cancel(record.id)  # expansion still runs; nothing simulates
             while not record.finished:
                 ticks += 1
                 await asyncio.sleep(0.001)
@@ -320,6 +323,29 @@ class TestJobManager:
         assert (record.state, record.total, record.simulated) == ("cancelled", 1, 0)
         entered, returned = seen
         assert returned - entered >= 1
+
+    def test_cancel_before_start_skips_expansion(self, monkeypatch):
+        """A job cancelled before its task runs never expands its spec."""
+        expanded: list[str] = []
+        jobs = ScenarioSpec.jobs
+
+        def watched(spec, *args, **kwargs):
+            expanded.append(spec.name)
+            return jobs(spec, *args, **kwargs)
+
+        monkeypatch.setattr(ScenarioSpec, "jobs", watched)
+
+        async def scenario():
+            manager = self.manager(executor=InlineExecutor(slots=1))
+            record = manager.submit(SubmitRequest.from_dict({"spec": tiny_spec(seed=4)}))
+            manager.cancel(record.id)
+            await manager.wait(record.id)
+            await manager.close()
+            return record
+
+        record = run(scenario())
+        assert (record.state, record.total, record.simulated) == ("cancelled", 0, 0)
+        assert expanded == []
 
     def test_double_cancel_is_idempotent(self):
         async def scenario():
@@ -475,6 +501,23 @@ class TestServiceHTTP:
                 status, body = client.submit(spec={**tiny_spec(), "workload": workload})
                 assert status == 400
                 assert reason in body["error"]
+            # a cost-model option that no longer exists is refused, never
+            # dropped: dropping it would run a different model
+            base = tiny_spec()
+            for extra in ({"transfer_mode": "per_predecessor"}, {"element_size": 8}):
+                settings = {**base["settings"], **extra}
+                status, body = client.submit(spec={**base, "settings": settings})
+                assert status == 400
+                assert next(iter(extra)) in body["error"]
+            system = {**base["system"], "link_overrides": [["cpu0", "gpu0", 8.0]]}
+            status, body = client.submit(spec={**base, "system": system})
+            assert status == 400
+            assert "link_overrides" in body["error"]
+            status, body = client.submit(
+                scenario="paper_type1", settings={"transfer_mode": "single"}
+            )
+            assert status == 400
+            assert "transfer_mode" in body["error"]
             # malformed JSON body
             import urllib.request
 

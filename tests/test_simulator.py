@@ -63,23 +63,12 @@ class TestDependenciesAndTransfers:
         assert result.makespan == pytest.approx(20.0)
 
     def test_single_mode_takes_max_over_cross_predecessors(self, system, synth_lookup):
-        # Diamond: two predecessors on two different processors; "single"
-        # mode charges one inbound transfer (the max), not the sum.
-        sim = Simulator(system, synth_lookup, transfer_mode="single")
+        # Diamond: two predecessors on two different processors; the
+        # kernel pays one inbound transfer (the max), not the sum.
+        sim = Simulator(system, synth_lookup)
         dfg = dfg_of("fast_cpu", "fast_gpu", "fast_fpga", deps=[(0, 2), (1, 2)])
         result = sim.run(dfg, MET())
         assert result.schedule[2].transfer_time == pytest.approx(1.0)
-
-    def test_per_predecessor_mode_sums(self, system, synth_lookup):
-        sim = Simulator(system, synth_lookup, transfer_mode="per_predecessor")
-        dfg = dfg_of("fast_cpu", "fast_gpu", "fast_fpga", deps=[(0, 2), (1, 2)])
-        result = sim.run(dfg, MET())
-        assert result.schedule[2].transfer_time == pytest.approx(2.0)
-
-    def test_element_size_scales_transfer(self, system, synth_lookup):
-        sim = Simulator(system, synth_lookup, element_size=8)
-        result = sim.run(dfg_of("fast_cpu", "fast_gpu", deps=[(0, 1)]), MET())
-        assert result.schedule[1].transfer_time == pytest.approx(2.0)
 
     def test_faster_links_shrink_transfer(self, synth_lookup):
         sim = Simulator(CPU_GPU_FPGA(transfer_rate_gbps=8.0), synth_lookup)
@@ -108,14 +97,6 @@ class TestParallelExecution:
 
 
 class TestValidationAndErrors:
-    def test_invalid_transfer_mode(self, system, synth_lookup):
-        with pytest.raises(ValueError):
-            Simulator(system, synth_lookup, transfer_mode="bogus")
-
-    def test_invalid_element_size(self, system, synth_lookup):
-        with pytest.raises(ValueError):
-            Simulator(system, synth_lookup, element_size=0)
-
     def test_policy_assigning_unready_kernel_rejected(self, synth_sim):
         class Premature(DynamicPolicy):
             name = "premature"
@@ -179,14 +160,3 @@ class TestDeterminismAndResults:
         result = synth_sim.run(dfg_of("fast_cpu"), APT(alpha=2.0))
         assert result.policy_name == "apt"
         assert result.policy_stats["alpha"] == 2.0
-
-    def test_trace_collection_optional(self, system, synth_lookup):
-        sim = Simulator(system, synth_lookup, collect_trace=True)
-        result = sim.run(dfg_of("fast_cpu"), MET())
-        assert result.trace is not None and len(result.trace) >= 1
-        assert synth_sim_result_has_no_trace(Simulator(system, synth_lookup))
-
-
-def synth_sim_result_has_no_trace(sim: Simulator) -> bool:
-    result = sim.run(dfg_of("fast_cpu"), MET())
-    return result.trace is None

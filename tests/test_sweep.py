@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.dynamics import DynamicsSpec
 from repro.core.lookup import KernelNotFoundError
-from repro.core.system import CPU_GPU_FPGA
+from repro.core.system import CPU_GPU_FPGA, ProcessorType
 from repro.data.paper_tables import paper_lookup_table
 from repro.experiments.runner import paper_spec
 from repro.experiments.scenarios import available_scenarios, get_scenario, run_scenarios
@@ -262,20 +262,6 @@ class TestSweepEngine:
         with pytest.raises(KernelNotFoundError):
             engine.run_jobs([job_of(lookup, system), bad])
 
-    def test_strict_lookup_mode_survives_serialization(self, lookup, system):
-        from repro.core.lookup import LookupTable
-
-        strict = LookupTable(list(lookup.entries()), interpolate=False)
-        unmeasured = DFG.from_kernels(
-            [KernelSpec("fast_cpu", SYNTH_SIZE // 2)], name="odd_size"
-        )
-        job = make_job(unmeasured, PolicySpec.of("met"), system, strict)
-        with pytest.raises(KeyError):
-            SweepEngine().run_jobs([job])
-        # strict and interpolating tables must not share cache entries
-        loose = make_job(unmeasured, PolicySpec.of("met"), system, lookup)
-        assert job.content_hash() != loose.content_hash()
-
     def test_unknown_policy_fails(self, lookup, system):
         job = make_job(small_dfg(), PolicySpec.of("bogus"), system, lookup)
         with pytest.raises(KeyError):
@@ -291,10 +277,75 @@ class TestSweepEngine:
         assert record["makespan"] == direct.makespan
         assert record["total_lambda"] == direct.metrics.lambda_stats.total
 
+    def test_execute_payload_prices_energy_like_energy_of(self, lookup, system):
+        from repro.core.energy import energy_of
+        from repro.core.simulator import Simulator
+        from repro.policies.registry import get_policy
+
+        record = execute_payload(job_of(lookup, system, alpha=4.0).runnable_payload())
+        direct = Simulator(system, lookup).run(small_dfg(), get_policy("apt", alpha=4.0))
+        report = energy_of(direct.schedule, system)
+        assert record["energy_joules"] == report.total_joules
+        assert record["energy_delay_product"] == report.energy_delay_product
+
+    def test_off_grid_size_interpolates_through_the_engine(self, lookup, system):
+        from repro.core.simulator import Simulator
+        from repro.policies.met import MET
+
+        unmeasured = DFG.from_kernels(
+            [KernelSpec("fast_cpu", SYNTH_SIZE // 2)], name="odd_size"
+        )
+        job = make_job(unmeasured, PolicySpec.of("met"), system, lookup)
+        [result] = SweepEngine().run_jobs([job])
+        direct = Simulator(system, lookup).run(unmeasured, MET())
+        assert result.makespan == direct.makespan
+        # a single measured size scales linearly: half the size, half the time
+        assert result.makespan == pytest.approx(
+            lookup.time("fast_cpu", SYNTH_SIZE, ProcessorType.CPU) / 2
+        )
+
     def test_resolve_workers(self):
         assert resolve_workers(3) == 3
         assert resolve_workers(None) >= 1
         assert resolve_workers(0) >= 1
+
+
+class TestPaperCostModelPayload:
+    """Every job runs the paper's cost model; the payload still names it
+    field by field, so stored cache keys hold."""
+
+    def test_payload_names_the_paper_cost_model(self, lookup, system):
+        payload = job_of(lookup, system).payload()
+        assert payload["cost_model"] == {
+            "element_size": 4,
+            "transfer_mode": "single",
+            "transfers_enabled": True,
+        }
+        assert payload["lookup_interpolate"] is True
+        assert payload["system"]["link_overrides"] == []
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"transfer_mode": "per_predecessor"},
+            {"element_size": 8},
+            {"transfers_enabled": False},
+        ],
+    )
+    def test_settings_reject_cost_model_keys(self, extra):
+        data = {**SimSettings().noise_dict(), **extra}
+        with pytest.raises(ValueError, match=next(iter(extra))):
+            SimSettings.from_dict(data)
+
+    def test_settings_round_trip_the_noise_knobs(self):
+        settings = SimSettings(exec_noise_sigma=0.2, noise_seed=7)
+        assert SimSettings.from_dict(settings.noise_dict()) == settings
+
+    def test_system_from_dict_rejects_link_overrides(self, system):
+        data = system_to_dict(system)
+        data["link_overrides"] = [["cpu0", "gpu0", 8.0]]
+        with pytest.raises(ValueError, match="link_overrides"):
+            system_from_dict(data)
 
 
 class TestScenarioGrid:

@@ -91,9 +91,9 @@ class TestSystemConfig:
             CPU_GPU_FPGA(transfer_rate_gbps=0.0)
 
     def test_rate_validation_consistent_everywhere(self):
-        # Regression: the default rate, the per-link overrides and the
-        # Link constructor must all apply the same rule — reject zero,
-        # negative and NaN; accept inf ("never the bottleneck").
+        # Regression: the default rate and the Link constructor must
+        # apply the same rule — reject zero, negative and NaN; accept inf
+        # ("never the bottleneck").
         procs = [
             Processor("a", ProcessorType.CPU),
             Processor("b", ProcessorType.GPU),
@@ -102,11 +102,9 @@ class TestSystemConfig:
             with pytest.raises(ValueError):
                 SystemConfig(procs, transfer_rate_gbps=bad)
             with pytest.raises(ValueError):
-                SystemConfig(procs, link_overrides={("a", "b"): bad})
-            with pytest.raises(ValueError):
                 Link("a", "b", bad)
         inf = float("inf")
-        system = SystemConfig(procs, link_overrides={("a", "b"): inf})
+        system = SystemConfig(procs, transfer_rate_gbps=inf)
         assert system.transfer_time_ms("a", "b", 1e12) == 0.0
         assert Link("a", "b", inf).transfer_time_ms(1e12) == 0.0
 
@@ -137,34 +135,19 @@ class TestSystemConfig:
                 if a != b:
                     assert system.transfer_time_ms(a, b, nbytes) == pytest.approx(expected)
 
-    def test_link_override_is_symmetric_by_default(self):
-        procs = [
-            Processor("a", ProcessorType.CPU),
-            Processor("b", ProcessorType.GPU),
-        ]
-        system = SystemConfig(procs, transfer_rate_gbps=4.0, link_overrides={("a", "b"): 8.0})
-        assert system.link("a", "b").rate_gbps == 8.0
-        assert system.link("b", "a").rate_gbps == 8.0
+    def test_topology_edge_rate_applies_both_ways(self):
+        from repro.core.topology import TopoLink, Topology
 
-    def test_directional_override_wins(self):
         procs = [
             Processor("a", ProcessorType.CPU),
             Processor("b", ProcessorType.GPU),
         ]
         system = SystemConfig(
-            procs,
-            transfer_rate_gbps=4.0,
-            link_overrides={("a", "b"): 8.0, ("b", "a"): 2.0},
+            procs, transfer_rate_gbps=4.0, topology=Topology([TopoLink("a", "b", 8.0)])
         )
         assert system.link("a", "b").rate_gbps == 8.0
-        assert system.link("b", "a").rate_gbps == 2.0
-
-    def test_override_unknown_processor_rejected(self):
-        with pytest.raises(KeyError):
-            SystemConfig(
-                [Processor("a", ProcessorType.CPU)],
-                link_overrides={("a", "ghost"): 4.0},
-            )
+        assert system.link("b", "a").rate_gbps == 8.0
+        assert system.transfer_time_ms("b", "a", 8e6) == pytest.approx(1.0)
 
     def test_unknown_link_query_rejected(self):
         system = CPU_GPU_FPGA()

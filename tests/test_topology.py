@@ -221,14 +221,6 @@ class TestSystemIntegration:
         with pytest.raises(ValueError, match="match"):
             SystemConfig(self.procs(), topology=star_topology(["cpu0"], 4.0))
 
-    def test_topology_excludes_link_overrides(self):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            SystemConfig(
-                self.procs(),
-                link_overrides={("cpu0", "gpu0"): 8.0},
-                topology=star_topology(["cpu0", "gpu0"], 4.0),
-            )
-
     def test_star_transfer_matches_flat_bit_for_bit(self):
         flat = SystemConfig(self.procs(), transfer_rate_gbps=4.0)
         star = SystemConfig(
