@@ -103,7 +103,8 @@ def python_blocks(text: str) -> list[tuple[int, str]]:
 
 
 def _run_doc_file(repo_root: Path, path: Path) -> list[Finding]:
-    """Run the file's blocks in one shared namespace; return failures."""
+    """Run the file's blocks in one shared namespace (stdout suppressed);
+    return failures."""
     relpath = path.relative_to(repo_root).as_posix()
     findings: list[Finding] = []
     namespace: dict[str, object] = {"__name__": f"docs_{path.stem}"}
@@ -111,7 +112,8 @@ def _run_doc_file(repo_root: Path, path: Path) -> list[Finding]:
         label = f"{relpath}:{line}"
         try:
             code = compile(source, label, "exec")
-            exec(code, namespace)  # noqa: S102 - the point of the gate
+            with contextlib.redirect_stdout(io.StringIO()):
+                exec(code, namespace)  # noqa: S102 - the point of the gate
         except Exception:
             findings.append(
                 Finding(

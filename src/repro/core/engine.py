@@ -91,9 +91,6 @@ class _ProcState:
     def blocked(self) -> bool:
         return self.faulted or self.penalized
 
-    def busy(self, now: float) -> bool:
-        return self.running is not None and self.free_at > now + 1e-12
-
 
 class _ReadyQueue:
     """Order-preserving ready set: O(1) membership, add and removal.
@@ -420,14 +417,13 @@ class EngineCore:
     # ------------------------------------------------------------------
     def refresh_view(self, name: str) -> None:
         # positional construction — this runs once per processor-state
-        # mutation, the hottest object creation in the engine
+        # mutation, the hottest object creation in the engine.  The clock
+        # moving is not a mutation: SchedulingContext.free_at clamps.
         st = self.procs[name]
-        free_at = st.free_at
-        now = self.now
         self.views[name] = ProcessorView(
             self.system[name],
             st.running is not None,
-            free_at if free_at > now else now,
+            st.free_at,
             len(st.queue),
             st.running,
             not (st.faulted or st.penalized),
@@ -743,12 +739,6 @@ class EngineCore:
                 )
 
             batch = events.pop_simultaneous()
-            if batch[0].time != self.now:
-                self.now = now = batch[0].time
-                # clock moved: idle processors' free_at clamps to the new now
-                for vname, view in self.views.items():
-                    if view.free_at < now:
-                        self.refresh_view(vname)
             for ev in batch:
                 self.now = ev.time
                 if ev.kind is complete:

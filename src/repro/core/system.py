@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from repro.core.topology import Route, Topology, validate_rate
 
@@ -125,9 +125,9 @@ class SystemConfig:
                 f"topology has {sorted(topology.processor_nodes)}, "
                 f"system has {sorted(names)}"
             )
-        # Immutable after construction, so category queries can be
-        # precomputed — of_type() sits in policy hot paths (APT's
-        # findBestProc runs once per ready kernel per invocation).
+        # Immutable after construction, so the category layout can be
+        # precomputed — its name-keyed forms sit in policy hot paths
+        # (APT's findBestProc runs once per ready kernel per invocation).
         self._of_type: dict[ProcessorType, tuple[Processor, ...]] = {}
         for p in self._processors:
             self._of_type.setdefault(p.ptype, ())
@@ -136,6 +136,10 @@ class SystemConfig:
                 p for p in self._processors if p.ptype == ptype
             )
         self._ptype_order = tuple(self._of_type)
+        self._names_by_type = {
+            ptype: tuple(p.name for p in procs) for ptype, procs in self._of_type.items()
+        }
+        self._ptype_by_name = {p.name: p.ptype for p in self._processors}
         # transfer_time_ms is the hottest query in the simulator (policies
         # price every candidate assignment) — precompute the effective
         # bytes-per-ms divisor for every ordered pair so the query is one
@@ -193,6 +197,16 @@ class SystemConfig:
     def of_type(self, ptype: ProcessorType) -> tuple[Processor, ...]:
         """All processors of the given category."""
         return self._of_type.get(ptype, ())
+
+    @property
+    def names_by_type(self) -> Mapping[ProcessorType, tuple[str, ...]]:
+        """Category → the names of :meth:`of_type`, in declaration order."""
+        return self._names_by_type
+
+    @property
+    def ptype_by_name(self) -> Mapping[str, ProcessorType]:
+        """Processor name → category, in declaration order."""
+        return self._ptype_by_name
 
     # ------------------------------------------------------------------
     # interconnect

@@ -46,9 +46,10 @@ def _candidates(ctx: SchedulingContext, avail: Mapping[str, None]) -> Iterator[i
         yield from ctx.ready
         return
     free = avail.keys()
+    names_by_type = ctx.system.names_by_type
     heap = []
     for i, (ptype, bucket) in enumerate(buckets.items()):
-        names = tuple(p.name for p in ctx.system.of_type(ptype))
+        names = names_by_type[ptype]
         entries = iter(bucket.items())
         head = next(entries, None)
         if head is not None and not free.isdisjoint(names):
@@ -129,14 +130,14 @@ class APT(DynamicPolicy):
     # ------------------------------------------------------------------
     def select(self, ctx: SchedulingContext) -> list[Assignment]:
         out: list[Assignment] = []
+        ptype_of = ctx.system.ptype_by_name
+        names_by_type = ctx.system.names_by_type
+        views = ctx.views
         # Available = idle and not consumed by an assignment made earlier
         # in this call.  An insertion-ordered dict keeps the scan in
         # system declaration order — the same tie-break the per-kernel
         # view checks produced — at O(available) instead of O(P) probes.
-        avail: dict[str, None] = {
-            p.name: None for p in ctx.system if ctx.views[p.name].idle
-        }
-        ptype_of = {p.name: p.ptype for p in ctx.system}
+        avail: dict[str, None] = {name: None for name in ptype_of if views[name].idle}
 
         for kid in _candidates(ctx, avail):
             if not avail:
@@ -146,8 +147,7 @@ class APT(DynamicPolicy):
             best_ptype, x = ctx.best_processor_type(kid)
             # findBestProc: an available instance of the best category.
             p_min = next(
-                (p.name for p in ctx.system.of_type(best_ptype) if p.name in avail),
-                None,
+                (n for n in names_by_type.get(best_ptype, ()) if n in avail), None
             )
             if p_min is not None:
                 del avail[p_min]

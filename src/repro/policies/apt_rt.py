@@ -92,8 +92,8 @@ class APT_RT(APT):
             if kid in self._preempt_spent:
                 continue
             best_ptype, x = ctx.best_processor_type(kid)
-            instances = ctx.system.of_type(best_ptype)
-            if any(ctx.views[p.name].idle for p in instances):
+            instances = ctx.system.names_by_type.get(best_ptype, ())
+            if any(ctx.views[name].idle for name in instances):
                 continue  # select() will place it normally
             threshold = self.alpha * x
             # an idle alternative within the threshold also unblocks it
@@ -111,16 +111,16 @@ class APT_RT(APT):
                 continue
             # earliest-free, in-service, occupied best instance
             candidates = [
-                p.name
-                for p in instances
-                if ctx.views[p.name].available
-                and ctx.views[p.name].running_kernel is not None
-                and p.name not in claimed
+                name
+                for name in instances
+                if ctx.views[name].available
+                and ctx.views[name].running_kernel is not None
+                and name not in claimed
             ]
             if not candidates:
                 continue
-            target = min(candidates, key=lambda n: ctx.views[n].free_at)
-            remaining = ctx.views[target].free_at - ctx.time
+            target = min(candidates, key=ctx.free_at)
+            remaining = ctx.free_at(target) - ctx.time
             if remaining <= threshold:
                 continue  # waiting is within the APT tolerance
             # Eviction economics (SRPT-flavored): this kernel gains
@@ -144,7 +144,7 @@ class APT_RT(APT):
         # Estimated completion if we wait for the earliest-free best
         # instance: its remaining busy time plus x.
         return (
-            min(ctx.views[p.name].free_at for p in ctx.system.of_type(best_ptype))
+            min(map(ctx.free_at, ctx.system.names_by_type.get(best_ptype, ())))
             - ctx.time
             + x
         )

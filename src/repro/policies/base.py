@@ -55,8 +55,12 @@ class Assignment:
 class ProcessorView:
     """Read-only processor state exposed to policies.
 
-    ``free_at`` is the time the processor finishes everything currently
-    started or queued on it (equals the current time when idle).
+    ``free_at`` is the time the processor's running kernel is expected
+    to finish; for an idle processor it is the instant the processor
+    went idle (≤ ``ctx.time``).  A view changes only when its processor
+    does, never because the clock moved: use
+    :meth:`SchedulingContext.free_at` for the earliest instant the
+    processor can start new work.
     ``available`` is false while the processor is out of service — failed
     and awaiting repair (:class:`~repro.core.dynamics.FaultDynamics`) or
     paying a preemption context-switch penalty; ``free_at`` then reports
@@ -200,6 +204,18 @@ class SchedulingContext:
     def idle_processors(self) -> list[ProcessorView]:
         """Idle processors, in system declaration order."""
         return [self.views[p.name] for p in self.system if self.views[p.name].idle]
+
+    def free_at(self, processor: str) -> float:
+        """The earliest instant ``processor`` can start new work.
+
+        Its view's ``free_at`` clamped to the clock: an idle view keeps
+        the instant its processor went idle, and a running kernel whose
+        contended transfer outlasts the uncontended estimate leaves that
+        estimate behind ``ctx.time``.
+        """
+        free_at = self.views[processor].free_at
+        time = self.time
+        return free_at if free_at > time else time
 
     def available(self, processor: str) -> bool:
         """Whether ``processor`` is in service (not failed / penalized).
@@ -383,9 +399,10 @@ class Policy(abc.ABC):
     #: short identifier used in tables and the CLI (e.g. ``"apt"``).
     name: str = "policy"
 
-    #: Whether decisions may depend on the *clock* (``ctx.time``, or busy
-    #: processors' ``free_at`` measured against it) rather than only on the
-    #: ready set and processor states.  The simulator may skip re-invoking a
+    #: Whether decisions may depend on the *clock* (``ctx.time``, or
+    #: :meth:`SchedulingContext.free_at`, which clamps views to it) rather
+    #: than only on the ready set and processor views, which change only
+    #: when their processor does.  The simulator may skip re-invoking a
     #: time-insensitive policy whose last answer was empty when nothing but
     #: the clock has changed since (pure streaming-arrival events).  The
     #: conservative default — ``True`` — never skips on time advance; the

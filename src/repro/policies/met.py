@@ -40,6 +40,7 @@ class MET(DynamicPolicy):
 
     def select(self, ctx: SchedulingContext) -> list[Assignment]:
         out: list[Assignment] = []
+        names_by_type = ctx.system.names_by_type
         # Idle and not yet consumed this call, in system declaration order.
         avail: dict[str, None] = {
             p.name: None for p in ctx.system if ctx.views[p.name].idle
@@ -54,8 +55,7 @@ class MET(DynamicPolicy):
                 break
             best_ptype, _ = ctx.best_processor_type(kid)
             p_min = next(
-                (p.name for p in ctx.system.of_type(best_ptype) if p.name in avail),
-                None,
+                (n for n in names_by_type.get(best_ptype, ()) if n in avail), None
             )
             if p_min is not None:
                 del avail[p_min]

@@ -18,7 +18,7 @@ import pytest
 
 from repro.checks import ALL_RULES, get_rule, load_project, run_rules
 from repro.checks.framework import Finding
-from repro.checks.gates import check_module_sizes
+from repro.checks.gates import check_docs, check_module_sizes
 from repro.checks.rules import sweep_fingerprint, write_fingerprint
 from repro.checks.runner import main as run_checks_main
 
@@ -267,6 +267,17 @@ def test_module_size_gate(tmp_path):
         ("module-size", "big.py"),
         ("module-size", "missing.py"),
     }
+
+
+def test_docs_gate_keeps_block_output_out_of_its_report(tmp_path, capsys, monkeypatch):
+    # check_docs puts <root>/src on sys.path; restore it afterwards
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "# Doc\n\n```python\nprint('block output')\n```\n", encoding="utf-8"
+    )
+    assert check_docs(tmp_path, [doc], verbose=False) == []
+    assert capsys.readouterr().out == ""
 
 
 def test_committed_size_budgets_hold():

@@ -1,10 +1,14 @@
 """Tests for the command-line interface (driven through main(argv))."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.experiments.scenarios import available_scenarios
+
+RESULTS = Path(__file__).resolve().parents[1] / "results"
 
 
 def run_cli(capsys, *argv: str) -> str:
@@ -161,6 +165,18 @@ class TestScenario:
             "--results-dir", str(tmp_path), "--cache-dir", str(cache),
         )
         assert "Scenario edge_cluster_bus" in out
+
+    def test_every_scenario_reproduces_its_committed_table(self, capsys, tmp_path):
+        # simulated afresh: preemptive_rt is the one artifact in which
+        # preemptive APT-RT reads processors' free_at
+        run_cli(capsys, "scenario", "run", "--no-cache", "--results-dir", str(tmp_path))
+        names = available_scenarios()
+        assert {p.name for p in tmp_path.iterdir()} == {
+            f"scenario_{name}.txt" for name in names
+        }
+        for name in names:
+            written = (tmp_path / f"scenario_{name}.txt").read_bytes()
+            assert written == (RESULTS / f"scenario_{name}.txt").read_bytes(), name
 
 
 class TestEngineFlags:

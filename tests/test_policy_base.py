@@ -5,9 +5,11 @@ import pytest
 from repro.policies.base import (
     Assignment,
     DynamicPolicy,
+    ProcessorView,
     SchedulingContext,
     StaticPlan,
 )
+from repro.core.cost import CostModel
 from repro.core.system import ProcessorType
 from tests.test_simulator import dfg_of
 
@@ -126,3 +128,45 @@ class TestProcessorView:
         # still busy (the 100ms fast_cpu-on-gpu run) and reports free_at.
         busy = [v for v in seen.values() if v.busy]
         assert busy and all(v.free_at > 0 for v in busy)
+
+
+class TestFreeAt:
+    """``ctx.free_at`` clamps a view's ``free_at`` to the clock."""
+
+    @pytest.fixture
+    def ctx(self, system, synth_lookup):
+        def view(name, busy, free_at, running):
+            return ProcessorView(
+                processor=system[name],
+                busy=busy,
+                free_at=free_at,
+                queue_length=0,
+                running_kernel=running,
+            )
+
+        return SchedulingContext(
+            time=50.0,
+            ready=(),
+            dfg=dfg_of("fast_cpu"),
+            system=system,
+            cost=CostModel(system, synth_lookup),
+            views={
+                # idle since t=20
+                "cpu0": view("cpu0", False, 20.0, None),
+                # running until t=80
+                "gpu0": view("gpu0", True, 80.0, 7),
+                # running, with an estimate a contended transfer outlasted
+                "fpga0": view("fpga0", True, 40.0, 8),
+            },
+        )
+
+    def test_idle_view_in_the_past_starts_now(self, ctx):
+        assert ctx.views["cpu0"].idle
+        assert ctx.free_at("cpu0") == 50.0
+
+    def test_busy_view_reports_its_own_free_at(self, ctx):
+        assert ctx.free_at("gpu0") == 80.0
+
+    def test_running_view_estimated_before_now_returns_now(self, ctx):
+        assert not ctx.views["fpga0"].idle
+        assert ctx.free_at("fpga0") == 50.0

@@ -17,7 +17,6 @@ server itself.
 from __future__ import annotations
 
 import asyncio
-import json
 
 import pytest
 
@@ -34,7 +33,6 @@ from repro.service.jobs import (
 )
 from repro.service.protocol import ProtocolError, SubmitRequest, paginate
 from repro.service.server import run_service
-from repro.service.store import SharedResultStore
 
 
 def tiny_spec(

@@ -114,6 +114,35 @@ class TestSystemConfig:
         assert "fpga0" in system
         assert "nope" not in system
 
+    def test_name_layout_matches_of_type_in_declaration_order(self):
+        from repro.experiments.scenarios import available_scenarios, get_scenario
+
+        cpu, gpu, fpga = ProcessorType.CPU, ProcessorType.GPU, ProcessorType.FPGA
+        mixed = SystemConfig(
+            [
+                Processor("g0", gpu),
+                Processor("c0", cpu),
+                Processor("g1", gpu),
+                Processor("f0", fpga),
+                Processor("c1", cpu),
+            ]
+        )
+        systems = [mixed, CPU_GPU_FPGA(n_cpu=2, n_gpu=3)] + [
+            get_scenario(name).build_system() for name in available_scenarios()
+        ]
+        assert any(system.topology is not None for system in systems)
+        for system in systems:
+            assert tuple(system.names_by_type) == system.processor_types()
+            for ptype in system.processor_types():
+                assert system.names_by_type[ptype] == tuple(
+                    p.name for p in system.of_type(ptype)
+                )
+            assert list(system.ptype_by_name.items()) == [
+                (p.name, p.ptype) for p in system
+            ]
+        assert mixed.names_by_type[gpu] == ("g0", "g1")
+        assert mixed.names_by_type[cpu] == ("c0", "c1")
+
     def test_processor_types_in_order(self):
         system = CPU_GPU_FPGA()
         assert system.processor_types() == (
