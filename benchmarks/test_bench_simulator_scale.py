@@ -1,7 +1,7 @@
 """Scale benchmark: incremental vs reference simulator inner loop.
 
-Scenario: the 10k-kernel streaming workload of
-:func:`repro.experiments.workloads.streaming_scale_workload` on the
+Scenario: the merged 10k-kernel stream of
+:func:`repro.experiments.workloads.streaming_scale_source` on the
 12-processor :func:`~repro.experiments.workloads.scale_system` — far
 beyond the paper's 46–157-kernel graphs on 3 processors.  Both engines
 must produce bit-for-bit identical schedules; the incremental hot path
@@ -31,7 +31,7 @@ from benchmarks.conftest import write_artifact
 from repro.core.reference import ReferenceSimulator
 from repro.core.simulator import Simulator
 from repro.data.paper_tables import paper_lookup_table
-from repro.experiments.workloads import scale_system, streaming_scale_workload
+from repro.experiments.workloads import scale_system, streaming_scale_source
 from repro.policies.registry import get_policy
 
 FULL = os.environ.get("REPRO_SCALE_FULL", "") == "1"
@@ -55,7 +55,7 @@ def _best_of(sim, dfg, policy_name, arrivals) -> tuple[float, object]:
 
 
 def test_bench_simulator_scale(local_results_dir):
-    dfg, arrivals = streaming_scale_workload(n_kernels=N_KERNELS)
+    dfg, arrivals = streaming_scale_source(n_kernels=N_KERNELS).materialize().merged()
     system = scale_system()
     lookup = paper_lookup_table()
 

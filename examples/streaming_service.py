@@ -17,9 +17,15 @@ Run:  python examples/streaming_service.py
 
 import numpy as np
 
-from repro import CPU_GPU_FPGA, Simulator, get_policy, paper_lookup_table
+from repro import (
+    CPU_GPU_FPGA,
+    GeneratorSource,
+    PoissonProfile,
+    Simulator,
+    get_policy,
+    paper_lookup_table,
+)
 from repro.graphs.generators import make_fork_join_dfg
-from repro.graphs.streams import poisson_stream
 
 N_REQUESTS = 30
 POLICIES = ("apt", "met", "spn", "sufferage")
@@ -43,14 +49,14 @@ print("-" * len(header))
 for name in POLICIES:
     cells = []
     for label, mean_ia in LOADS_MS.items():
-        stream = poisson_stream(
-            N_REQUESTS, mean_ia, request_factory, np.random.default_rng(42)
-        )
+        stream = GeneratorSource(
+            N_REQUESTS, request_factory, PoissonProfile(mean_ia), seed=42
+        ).materialize()
         merged, arrivals = stream.merged()
         policy = get_policy(name, alpha=4.0) if name == "apt" else get_policy(name)
         result = sim.run(merged, policy, arrivals=arrivals)
         # service residence: completion of the last request past its arrival
-        cells.append(f"{result.makespan - stream.span_ms:>20,.0f} ms")
+        cells.append(f"{result.makespan - stream.last_arrival_ms:>20,.0f} ms")
     print(f"{name.upper():<11}" + "".join(f"{c:>24}" for c in cells))
 
 print()
@@ -59,7 +65,9 @@ print("a latency-style view of how far each policy falls behind the stream.")
 
 # Drill into the saturated point with per-kernel λ statistics.
 print()
-stream = poisson_stream(N_REQUESTS, 200.0, request_factory, np.random.default_rng(42))
+stream = GeneratorSource(
+    N_REQUESTS, request_factory, PoissonProfile(200.0), seed=42
+).materialize()
 merged, arrivals = stream.merged()
 for name in ("apt", "met"):
     policy = get_policy(name, alpha=4.0) if name == "apt" else get_policy(name)

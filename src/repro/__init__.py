@@ -75,17 +75,10 @@ from repro.policies import (
 )
 from repro.data.paper_tables import paper_lookup_table, figure5_lookup_table
 from repro.core.energy import PowerModel, DEFAULT_POWER_MODEL, EnergyReport, energy_of
-from repro.graphs.streams import (
-    ApplicationArrival,
-    ApplicationStream,
-    poisson_stream,
-    periodic_stream,
-)
+from repro.graphs.streams import ApplicationArrival, ApplicationStream, ArrivalSource
 from repro.graphs.sources import (
-    ArrivalSource,
     BurstProfile,
     DiurnalProfile,
-    EagerSource,
     GeneratorSource,
     PoissonProfile,
 )
@@ -136,10 +129,7 @@ __all__ = [
     "energy_of",
     "ApplicationArrival",
     "ApplicationStream",
-    "poisson_stream",
-    "periodic_stream",
     "ArrivalSource",
-    "EagerSource",
     "GeneratorSource",
     "PoissonProfile",
     "BurstProfile",

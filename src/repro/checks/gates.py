@@ -157,18 +157,18 @@ def check_docs(
 ) -> list[Finding]:
     """Execute documentation blocks + example scripts; return failures.
 
-    Runs with ``src/`` on ``sys.path`` and a throwaway temp cwd so
-    examples that write caches/results cannot dirty the checkout.
+    Runs with ``src/`` first on ``sys.path`` and a throwaway temp cwd so
+    examples that write caches/results cannot dirty the checkout.  The
+    path, the cwd and the environment are restored on return.
     """
     if files is None:
         files = [repo_root / "README.md", *sorted((repo_root / "docs").glob("*.md"))]
         examples = [repo_root / rel for rel in EXAMPLE_SCRIPTS]
     else:
         examples = []
-    src = str(repo_root / "src")
-    if src not in sys.path:
-        sys.path.insert(0, src)
     findings: list[Finding] = []
+    saved_path, saved_environ = list(sys.path), dict(os.environ)
+    sys.path.insert(0, str(repo_root / "src"))
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
         os.chdir(tmp)
@@ -187,4 +187,7 @@ def check_docs(
                     print(f"  {'FAIL' if failures else 'ok  '} {rel}")
         finally:
             os.chdir(cwd)
+            sys.path[:] = saved_path
+            os.environ.clear()
+            os.environ.update(saved_environ)
     return findings

@@ -53,7 +53,7 @@ from repro.core.topology import ContentionManager, Topology, validate_rate
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.system import SystemConfig
     from repro.graphs.dfg import DFG
-    from repro.graphs.sources import ArrivalSource
+    from repro.graphs.streams import ArrivalSource
     from repro.policies.base import SchedulingContext
 
 
@@ -110,7 +110,7 @@ class BatchAdmission(RuntimeDynamics):
 
 
 class StreamAdmission(RuntimeDynamics):
-    """Open-system admission from an :class:`~repro.graphs.sources.
+    """Open-system admission from an :class:`~repro.graphs.streams.
     ArrivalSource`: each application's kernels are renumbered into the
     same contiguous id blocks :meth:`~repro.graphs.streams.
     ApplicationStream.merged` produces and registered when its
@@ -137,10 +137,7 @@ class StreamAdmission(RuntimeDynamics):
         # Admission fans out to the retirement/metrics layers, so it must
         # wait for every layer's on_run_start — hence the second phase.
         e = self.engine
-        source = self.source
-        self._iter = (
-            source.arrivals() if hasattr(source, "arrivals") else iter(source)
-        )
+        self._iter = self.source.arrivals()
         self._pending = next(self._iter, None)
         # applications arriving at t=0 are resident from the start, exactly
         # like the merged path's arrival_ms == 0 kernels (no events).
@@ -366,25 +363,21 @@ class ContentionDynamics(RuntimeDynamics):
 class RetirementDynamics(RuntimeDynamics):
     """Bounded-memory eviction of completed kernel state.
 
-    A kernel's tables are freed once nothing can query them again.  The
-    default gate ("started") retires a completed kernel when every
-    successor has *started* — the streaming path's original rule.  Runs
-    carrying abort-capable layers (faults, preemption) use the
-    "completed" gate instead: a started successor may be aborted and
-    need its predecessors' placements again, so retirement waits until
-    every successor has *completed* (completion is final).
+    A kernel's tables are freed once nothing can query them again: it
+    completed and every successor has *started*.  On an engine that
+    carries an abort-capable layer (faults, preemption) a started
+    successor may be aborted and need its predecessors' placements
+    again; there a kernel retires only once every successor has
+    *completed* (completion is final).
     """
 
     name = "retirement"
 
-    def __init__(self, gate: str = "started") -> None:
-        if gate not in ("started", "completed"):
-            raise ValueError(f"gate must be 'started' or 'completed', got {gate!r}")
-        self.gate = gate
-
     def on_run_start(self) -> None:
         self.n_retired = 0
         self._open_succs: dict[int, int] = {}
+        # the engine defers schedule entries exactly when a layer aborts
+        self._release_on_finish = self.engine._defer_entries
 
     def on_admit(
         self,
@@ -398,11 +391,19 @@ class RetirementDynamics(RuntimeDynamics):
             self._open_succs[nid] = len(succs_of[nid])
 
     def on_kernel_start(self, kid: int, proc: str) -> None:
-        if self.gate != "started":
-            return
+        if not self._release_on_finish:
+            self._release(kid)
+
+    def on_kernel_finish(self, kid: int, proc: str) -> None:
+        if self._release_on_finish:
+            self._release(kid)
+        if self._open_succs[kid] == 0:
+            self._retire(kid)
+
+    def _release(self, kid: int) -> None:
+        """``kid`` left the ready set for good: purge its memoized
+        transfer answers and release the predecessors it was pinning."""
         e = self.engine
-        # the kernel left the ready set for good: purge its memoized
-        # transfer answers and release predecessors it was pinning
         memo = e.transfer_memo
         for pname in e.proc_names:
             memo.pop((kid, pname), None)
@@ -412,21 +413,6 @@ class RetirementDynamics(RuntimeDynamics):
             open_succs[p] -= 1
             if open_succs[p] == 0 and p in completed:
                 self._retire(p)
-
-    def on_kernel_finish(self, kid: int, proc: str) -> None:
-        e = self.engine
-        if self.gate == "completed":
-            memo = e.transfer_memo
-            for pname in e.proc_names:
-                memo.pop((kid, pname), None)
-            open_succs = self._open_succs
-            completed = e.completed
-            for p in e.preds_of[kid]:
-                open_succs[p] -= 1
-                if open_succs[p] == 0 and p in completed:
-                    self._retire(p)
-        if self._open_succs[kid] == 0:
-            self._retire(kid)
 
     def _retire(self, kid: int) -> None:
         """Free a kernel's bookkeeping once nothing can query it again."""

@@ -547,7 +547,6 @@ class EngineCore:
             h(entry)
 
     def apply_assignments(self, assignments: list[Assignment]) -> bool:
-        progress = False
         touched: set[str] = set()
         for a in assignments:
             if a.kernel_id not in self.ready:
@@ -572,17 +571,17 @@ class EngineCore:
             self.assign_time[a.kernel_id] = self.now
             self.is_alternative[a.kernel_id] = a.alternative
             st.queue.append((a.kernel_id, a.alternative))
-            self.refresh_view(a.processor)
             touched.add(a.processor)
-            progress = True
         if touched:
             self.state_version += 1
             # Start in system declaration order — start order decides
             # event insertion order, which breaks completion-time ties.
+            # A start rebuilds its processor's view; the others rebuild
+            # here, once, for their longer queue.
             for name in sorted(touched, key=self.proc_index.__getitem__):
-                if self.start_if_possible(name):
-                    progress = True
-        return progress
+                if not self.start_if_possible(name):
+                    self.refresh_view(name)
+        return bool(touched)
 
     # ------------------------------------------------------------------
     # abort support (fault / preemption layers)

@@ -90,7 +90,7 @@ Open-system streams
 -------------------
 :meth:`Simulator.run` consumes one pre-merged DFG — the *closed* form,
 which caps stream length by memory.  :meth:`Simulator.run_stream`
-consumes an :class:`~repro.graphs.sources.ArrivalSource` instead: each
+consumes an :class:`~repro.graphs.streams.ArrivalSource` instead: each
 application's kernels are admitted when its ``APP_ARRIVAL`` event fires
 (renumbered exactly as :meth:`~repro.graphs.streams.ApplicationStream.
 merged` would) and retired once completed with every successor started,
@@ -112,7 +112,8 @@ processors; preemption lets the driving policy evict a running kernel at
 an event boundary under a context-switch penalty.  Results then carry
 ``dynamics_stats`` (availability, fault/preemption counts).  Runs whose
 dynamics can abort kernels record schedule entries at *completion*
-rather than start, so abandoned attempts never pollute the log; aborted
+rather than start, so abandoned attempts never pollute the log, and on
+streams retire a kernel only once its successors have completed; aborted
 work re-runs from scratch (restart semantics).
 
 Determinism: given the same DFG, system, lookup table, policy and
@@ -148,6 +149,7 @@ from repro.core.metrics import (
 from repro.core.schedule import Schedule
 from repro.core.system import SystemConfig
 from repro.graphs.dfg import DFG
+from repro.graphs.streams import ArrivalSource
 from repro.policies.base import DynamicPolicy, Policy, StaticPolicy
 from repro.policies.plan import PlanDispatcher
 
@@ -316,17 +318,6 @@ class Simulator:
         engine.add_layer(metrics)
         return engine
 
-    def _has_aborting_dynamics(self) -> bool:
-        from repro.core.dynamics import DYNAMICS_KINDS
-
-        for item in self.dynamics:
-            if isinstance(item, DynamicsSpec):
-                if DYNAMICS_KINDS[item.kind].aborts:
-                    return True
-            elif getattr(item, "aborts", False):
-                return True
-        return False
-
     # ------------------------------------------------------------------
     def run(
         self,
@@ -408,21 +399,22 @@ class Simulator:
     # ------------------------------------------------------------------
     def run_stream(
         self,
-        source,
+        source: ArrivalSource,
         policy: Policy,
         retain_schedule: bool = True,
     ) -> StreamResult:
         """Simulate an open-system stream of applications under ``policy``.
 
-        ``source`` is an :class:`~repro.graphs.sources.ArrivalSource`
-        (or any iterable of :class:`~repro.graphs.streams.
-        ApplicationArrival` in non-decreasing time order).  Applications
-        are *admitted* when their ``APP_ARRIVAL`` event fires — their
-        kernels are renumbered into the same contiguous id blocks
-        :meth:`~repro.graphs.streams.ApplicationStream.merged` produces —
-        and every kernel's bookkeeping is *retired* once it completed and
-        all its successors started, so peak resident state tracks the
-        stream's concurrency, not its length.  The schedules produced are
+        ``source`` is an :class:`~repro.graphs.streams.ArrivalSource`:
+        an in-memory :class:`~repro.graphs.streams.ApplicationStream` or
+        a lazy source such as :class:`~repro.graphs.sources.
+        GeneratorSource`.  Applications are *admitted* when their
+        ``APP_ARRIVAL`` event fires — their kernels are renumbered into
+        the same contiguous id blocks :meth:`~repro.graphs.streams.
+        ApplicationStream.merged` produces — and every kernel's
+        bookkeeping is *retired* once it completed and all its successors
+        started, so peak resident state tracks the stream's concurrency,
+        not its length.  The schedules produced are
         bit-for-bit identical to running the merged DFG through
         :meth:`run` (asserted in ``tests/test_simulator_equivalence.py``).
 
@@ -437,23 +429,13 @@ class Simulator:
         streams; ``metrics``/``service``/``energy`` are computed
         identically, but ``schedule`` is ``None``.
         """
-        from repro.graphs.sources import ArrivalSource, EagerSource
-
         if not isinstance(policy, (DynamicPolicy, StaticPolicy)):
             raise TypeError(
                 f"policy must be a DynamicPolicy or StaticPolicy, got {type(policy)!r}"
             )
-        if not isinstance(source, ArrivalSource):
-            from repro.graphs.streams import ApplicationStream
-
-            if isinstance(source, ApplicationStream):
-                source = EagerSource(source)
-            else:
-                source = EagerSource(ApplicationStream(list(source)), name="stream")
-
         if isinstance(policy, StaticPolicy):
             stream = source.materialize()
-            merged, arrivals = stream.merged(name=source.name)
+            merged, arrivals = stream.merged()
             result = self.run(merged, policy, arrivals=arrivals)
             spans = stream_app_spans(stream)
             service = compute_service_metrics(
@@ -482,18 +464,13 @@ class Simulator:
     # ------------------------------------------------------------------
     def _simulate_stream(
         self,
-        source,
+        source: ArrivalSource,
         policy: Policy,
         driver: DynamicPolicy,
         retain_schedule: bool,
     ) -> StreamResult:
         admission = StreamAdmission(source)
-        # Abort-capable dynamics may re-enqueue a started kernel, which
-        # must still find its predecessors' placements: retirement then
-        # waits for successors to *complete* (final) instead of start.
-        retirement = RetirementDynamics(
-            gate="completed" if self._has_aborting_dynamics() else "started"
-        )
+        retirement = RetirementDynamics()
         metrics_layer = MetricsDynamics(
             self.system, retain_schedule=retain_schedule, service=True
         )

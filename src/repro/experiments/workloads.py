@@ -28,18 +28,13 @@ from repro.graphs.generators import (
     make_type2_dfg,
 )
 from repro.graphs.sources import (
-    ArrivalSource,
     BurstProfile,
     DiurnalProfile,
     GeneratorSource,
     PoissonProfile,
     RateProfile,
 )
-from repro.graphs.streams import (
-    ApplicationArrival,
-    ApplicationStream,
-    poisson_stream,
-)
+from repro.graphs.streams import ApplicationArrival, ArrivalSource
 
 #: Year of the paper — the suite's default base seed.
 DEFAULT_SEED = 2017
@@ -119,60 +114,41 @@ def scale_system(
     )
 
 
-def streaming_scale_stream(
-    n_kernels: int = 10_000,
-    seed: int = DEFAULT_SEED,
-    mean_interarrival_ms: float = 3000.0,
-    population: KernelPopulation = PAPER_KERNEL_POPULATION,
-) -> ApplicationStream:
+def _mixed_application(
+    i: int, n: int, rng: np.random.Generator, population: KernelPopulation
+) -> DFG:
+    """Application ``i`` of a stream's shape mix, sized ``n``: the paper's
+    Type-1 shape, a fork-join of ``max(n - 2, 1)`` or a stage-width-4
+    pipeline, by ``i % 3``."""
+    shape = i % 3
+    if shape == 0:
+        return make_type1_dfg(n, rng=rng, population=population, name=f"app{i}_t1")
+    if shape == 1:
+        return make_fork_join_dfg(
+            max(n - 2, 1), rng=rng, population=population, name=f"app{i}_fj"
+        )
+    return make_pipeline_dfg(
+        n, rng=rng, population=population, stage_width=4, name=f"app{i}_pipe"
+    )
+
+
+class _ScaleStreamSource(ArrivalSource):
     """A Poisson stream of small applications totalling ≈ ``n_kernels``.
 
-    Applications alternate between the paper's Type-1 shape, small
-    fork-joins and short pipelines (8–16 kernels each), arriving with
-    exponential gaps — the online regime the paper frames but does not
-    evaluate.  Deterministic for a fixed seed.
+    Applications cycle through the shape mix of :func:`_mixed_application`
+    (8–16 kernels each), arriving with exponential gaps — the online
+    regime the paper frames but does not evaluate.  One RNG,
+    ``default_rng(seed)``, first draws every application's size, then
+    per application its DFG followed by the gap to the next arrival, so
+    the stream is deterministic for a fixed seed.  ``Simulator.run_stream``
+    generates it lazily, so peak memory stays bounded by the *live*
+    window, not the stream length; ``materialize()`` is the stream the
+    ``streaming`` workload kind merges.
 
     The default inter-arrival mean (3 s for ~12-kernel applications
     of Table 14 kernels) keeps a 12-processor system loaded but not
     unboundedly backlogged, so the ready set stays realistic for a
     service deployment rather than growing without limit.
-    """
-    if n_kernels < 8:
-        raise ValueError("a scale stream needs at least 8 kernels")
-    rng = np.random.default_rng(seed)
-    sizes: list[int] = []
-    total = 0
-    while total < n_kernels:
-        n = int(rng.integers(8, 17))
-        sizes.append(n)
-        total += n
-
-    def factory(i: int, rng: np.random.Generator) -> DFG:
-        n = sizes[i]
-        shape = i % 3
-        if shape == 0:
-            return make_type1_dfg(n, rng=rng, population=population, name=f"app{i}_t1")
-        if shape == 1:
-            return make_fork_join_dfg(
-                n - 2, rng=rng, population=population, name=f"app{i}_fj"
-            )
-        return make_pipeline_dfg(
-            n, rng=rng, population=population, stage_width=4, name=f"app{i}_pipe"
-        )
-
-    return poisson_stream(len(sizes), mean_interarrival_ms, factory, rng)
-
-
-class _ScaleStreamSource(ArrivalSource):
-    """Lazy form of :func:`streaming_scale_stream`.
-
-    Replays the eager builder's RNG consumption order exactly — the
-    size pre-draw, then per application the DFG draws followed by the
-    exponential gap — so ``materialize()`` is bit-for-bit the stream
-    :func:`streaming_scale_stream` returns with the same parameters
-    (pinned by ``tests/test_simulator_stream.py``).  With streaming
-    admission and retirement, peak memory stays bounded by the *live*
-    window, not the stream length.
     """
 
     def __init__(
@@ -187,7 +163,7 @@ class _ScaleStreamSource(ArrivalSource):
         if mean_interarrival_ms <= 0:
             raise ValueError("mean_interarrival_ms must be positive")
         self.n_kernels = int(n_kernels)
-        self.seed = int(seed)
+        self.seed = seed
         self.mean_interarrival_ms = float(mean_interarrival_ms)
         self.population = population
         # The size pre-draw is cheap (~n/12 ints) — running it here too
@@ -215,21 +191,7 @@ class _ScaleStreamSource(ArrivalSource):
         population = self.population
         t = 0.0
         for i, n in enumerate(sizes):
-            shape = i % 3
-            if shape == 0:
-                dfg = make_type1_dfg(
-                    n, rng=rng, population=population, name=f"app{i}_t1"
-                )
-            elif shape == 1:
-                dfg = make_fork_join_dfg(
-                    n - 2, rng=rng, population=population, name=f"app{i}_fj"
-                )
-            else:
-                dfg = make_pipeline_dfg(
-                    n, rng=rng, population=population, stage_width=4,
-                    name=f"app{i}_pipe",
-                )
-            yield ApplicationArrival(dfg, t)
+            yield ApplicationArrival(_mixed_application(i, n, rng, population), t)
             t += float(rng.exponential(self.mean_interarrival_ms))
 
 
@@ -239,26 +201,15 @@ def streaming_scale_source(
     mean_interarrival_ms: float = 3000.0,
     population: KernelPopulation = PAPER_KERNEL_POPULATION,
 ) -> _ScaleStreamSource:
-    """The lazy :class:`ArrivalSource` twin of :func:`streaming_scale_stream`."""
-    return _ScaleStreamSource(n_kernels, seed, mean_interarrival_ms, population)
+    """The scale stream (:class:`_ScaleStreamSource`): ~``n_kernels``
+    kernels in 8–16-kernel applications, Poisson arrivals.
 
-
-def streaming_scale_workload(
-    n_kernels: int = 10_000,
-    seed: int = DEFAULT_SEED,
-    mean_interarrival_ms: float = 3000.0,
-    population: KernelPopulation = PAPER_KERNEL_POPULATION,
-) -> tuple[DFG, dict[int, float]]:
-    """The merged (DFG, arrivals) form of :func:`streaming_scale_stream`.
-
-    Ready for ``Simulator.run(dfg, policy, arrivals=arrivals)``; the
-    benchmark scenario of ``benchmarks/test_bench_simulator_scale.py``
-    pairs it with :func:`scale_system`.
+    ``Simulator.run_stream`` admits it lazily; ``materialize()`` and
+    ``ApplicationStream.merged`` give the ``(DFG, arrivals)`` form for
+    ``Simulator.run`` (the benchmark scenario of
+    ``benchmarks/test_bench_simulator_scale.py``, on :func:`scale_system`).
     """
-    stream = streaming_scale_stream(
-        n_kernels, seed, mean_interarrival_ms, population
-    )
-    return stream.merged(name=f"scale_stream_n{stream.n_kernels}_s{seed}")
+    return _ScaleStreamSource(n_kernels, seed, mean_interarrival_ms, population)
 
 
 # ----------------------------------------------------------------------
@@ -297,8 +248,10 @@ def _streaming_workload(
     seed: int = DEFAULT_SEED,
     mean_interarrival_ms: float = 3000.0,
 ) -> list[WorkloadUnit]:
-    stream = streaming_scale_stream(n_kernels, seed, mean_interarrival_ms)
-    dfg, arrivals = stream.merged(name=f"scale_stream_n{stream.n_kernels}_s{seed}")
+    stream = streaming_scale_source(
+        n_kernels, seed, mean_interarrival_ms
+    ).materialize()
+    dfg, arrivals = stream.merged()
     return [
         WorkloadUnit(
             dfg,
@@ -329,9 +282,9 @@ def _fork_join_stream_workload(
     def factory(index: int, rng: np.random.Generator) -> DFG:
         return make_fork_join_dfg(2, rng=rng, name=f"app{index}")
 
-    stream = poisson_stream(
-        n_applications, mean_interarrival_ms, factory, np.random.default_rng(seed)
-    )
+    stream = GeneratorSource(
+        n_applications, factory, PoissonProfile(mean_interarrival_ms), seed
+    ).materialize()
     dfg, arrivals = stream.merged(name=f"stream_ia{mean_interarrival_ms:g}")
     return [WorkloadUnit(dfg, arrivals=arrivals)]
 
@@ -363,27 +316,17 @@ def mixed_application_factory(
     """Applications cycling through the three stream shapes.
 
     Each application draws its kernel count uniformly in
-    ``[min_kernels, max_kernels]`` and takes the paper's Type-1 shape, a
-    fork-join or a short pipeline by index — the same mix as
-    :func:`streaming_scale_stream`, but sized lazily so a
-    :class:`~repro.graphs.sources.GeneratorSource` can build applications
-    on demand.
+    ``[min_kernels, max_kernels]``, then takes its shape from
+    :func:`_mixed_application` — the scale stream's mix, but sized
+    lazily so a :class:`~repro.graphs.sources.GeneratorSource` can build
+    applications on demand.
     """
     if not (1 <= min_kernels <= max_kernels):
         raise ValueError("need 1 <= min_kernels <= max_kernels")
 
     def factory(i: int, rng: np.random.Generator) -> DFG:
         n = int(rng.integers(min_kernels, max_kernels + 1))
-        shape = i % 3
-        if shape == 0:
-            return make_type1_dfg(n, rng=rng, population=population, name=f"app{i}_t1")
-        if shape == 1:
-            return make_fork_join_dfg(
-                max(n - 2, 1), rng=rng, population=population, name=f"app{i}_fj"
-            )
-        return make_pipeline_dfg(
-            n, rng=rng, population=population, stage_width=4, name=f"app{i}_pipe"
-        )
+        return _mixed_application(i, n, rng, population)
 
     return factory
 
@@ -464,7 +407,7 @@ def _open_system_workload(
         **profile_params,
     )
     stream = source.materialize()
-    dfg, arrivals = stream.merged(name=source.name)
+    dfg, arrivals = stream.merged()
     return [
         WorkloadUnit(
             dfg,

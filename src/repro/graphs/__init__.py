@@ -7,6 +7,8 @@ of kernels" (paper §3.2).  This subpackage provides:
 * :mod:`repro.graphs.generators` — the paper's DFG Type-1 / Type-2 shapes
   plus general-purpose DAG generators;
 * :mod:`repro.graphs.analysis` — critical path, levels, parallelism;
+* :mod:`repro.graphs.streams` / :mod:`repro.graphs.sources` — application
+  streams: arrival sources and their rate profiles;
 * :mod:`repro.graphs.serialization` — JSON round-trips.
 """
 
@@ -30,21 +32,13 @@ from repro.graphs.analysis import (
     lower_bound_makespan,
 )
 from repro.graphs.serialization import dfg_to_dict, dfg_from_dict, save_dfg, load_dfg
-from repro.graphs.streams import (
-    ApplicationArrival,
-    ApplicationStream,
-    periodic_stream,
-    poisson_stream,
-)
+from repro.graphs.streams import ApplicationArrival, ApplicationStream, ArrivalSource
 from repro.graphs.sources import (
-    ArrivalSource,
     BurstProfile,
     DiurnalProfile,
-    EagerSource,
     GeneratorSource,
     PoissonProfile,
     RateProfile,
-    profile_from_dict,
 )
 
 __all__ = [
@@ -66,16 +60,12 @@ __all__ = [
     "lower_bound_makespan",
     "ApplicationArrival",
     "ApplicationStream",
-    "poisson_stream",
-    "periodic_stream",
     "ArrivalSource",
-    "EagerSource",
     "GeneratorSource",
     "RateProfile",
     "PoissonProfile",
     "BurstProfile",
     "DiurnalProfile",
-    "profile_from_dict",
     "dfg_to_dict",
     "dfg_from_dict",
     "save_dfg",

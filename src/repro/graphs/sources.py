@@ -1,20 +1,16 @@
 """Arrival sources: the open-system side of application streams.
 
-An :class:`~repro.graphs.streams.ApplicationStream` is a *materialized*
-sequence of arrivals — every application DFG lives in memory at once,
-which caps stream length long before the simulator does.  This module
-provides the lazy counterpart: an :class:`ArrivalSource` yields
+An :class:`~repro.graphs.streams.ApplicationStream` holds every
+application DFG in memory at once, which caps stream length long before
+the simulator does.  This module provides the lazy sources: a
+:class:`GeneratorSource` yields
 :class:`~repro.graphs.streams.ApplicationArrival` objects one at a time,
 in non-decreasing arrival order, so the simulator's streaming path
 (``Simulator.run_stream``) can admit applications as they arrive and
 retire them as they complete — peak resident state then tracks the
 *concurrency* of the stream, not its length.
 
-Three source families:
-
-* :class:`EagerSource` — wraps an existing ``ApplicationStream``
-  (everything already in memory; the closed-system baseline);
-* :class:`GeneratorSource` — builds each application's DFG on demand
+* :class:`GeneratorSource` builds each application's DFG on demand
   from a factory and draws inter-arrival gaps from a
   :class:`RateProfile`;
 * rate profiles — :class:`PoissonProfile` (memoryless, constant rate),
@@ -24,10 +20,10 @@ Three source families:
 
 Determinism contract: a source's arrival sequence — times, DFG shapes,
 kernel specs — is bit-for-bit reproducible from its constructor
-arguments, in any process (guarded by ``tests/test_sources.py``).  In
-particular, ``GeneratorSource(n, factory, PoissonProfile(m), seed)``
-reproduces ``poisson_stream(n, m, factory, default_rng(seed))`` exactly:
-both consume one RNG in the same order (DFG first, then the gap).
+arguments, in any process (guarded by ``tests/test_sources.py``).  A
+``GeneratorSource(n, factory, PoissonProfile(m), seed)`` consumes one
+RNG, ``default_rng(seed)``, in strict alternation: DFG ``i``, then the
+gap to arrival ``i + 1``.  ``materialize()`` is its eager form.
 """
 
 from __future__ import annotations
@@ -35,12 +31,12 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator
 
 import numpy as np
 
 from repro.graphs.dfg import DFG
-from repro.graphs.streams import ApplicationArrival, ApplicationStream
+from repro.graphs.streams import ApplicationArrival, ArrivalSource
 
 
 # ----------------------------------------------------------------------
@@ -52,8 +48,8 @@ class RateProfile(abc.ABC):
     ``gap_ms(index, now_ms, rng)`` returns the gap between arrival
     ``index`` (already placed at ``now_ms``) and arrival ``index + 1``.
     Implementations must be deterministic in ``(index, now_ms)`` and the
-    RNG stream, and must serialize via ``to_dict``/:func:`profile_from_dict`
-    so declarative scenario specs can carry them.
+    RNG stream, and must serialize via ``to_dict`` so an open-system
+    workload's cache key can carry them.
     """
 
     #: registry key; set by each concrete profile.
@@ -161,85 +157,9 @@ class DiurnalProfile(RateProfile):
         }
 
 
-PROFILE_KINDS: dict[str, type] = {
-    "poisson": PoissonProfile,
-    "burst": BurstProfile,
-    "diurnal": DiurnalProfile,
-}
-
-
-def profile_from_dict(data: Mapping[str, object]) -> RateProfile:
-    """Inverse of ``RateProfile.to_dict``."""
-    kind = str(data.get("kind", ""))
-    cls = PROFILE_KINDS.get(kind)
-    if cls is None:
-        raise ValueError(
-            f"unknown rate profile kind {kind!r}; available: {sorted(PROFILE_KINDS)}"
-        )
-    params = {k: v for k, v in data.items() if k != "kind"}
-    return cls(**params)  # type: ignore[arg-type]
-
-
 # ----------------------------------------------------------------------
 # sources
 # ----------------------------------------------------------------------
-class ArrivalSource(abc.ABC):
-    """A (possibly lazy) producer of application arrivals.
-
-    ``arrivals()`` yields :class:`ApplicationArrival` objects in
-    non-decreasing ``arrival_ms`` order — the contract the simulator's
-    streaming admission depends on (violations raise at iteration time).
-    """
-
-    #: human-readable identifier (used as the run's DFG name).
-    name: str = "source"
-
-    @abc.abstractmethod
-    def _generate(self) -> Iterator[ApplicationArrival]:
-        """Yield arrivals; concrete sources implement this."""
-
-    def arrivals(self) -> Iterator[ApplicationArrival]:
-        """The checked arrival iterator (enforces time ordering)."""
-        last = 0.0
-        for arrival in self._generate():
-            if arrival.arrival_ms < last:
-                raise ValueError(
-                    f"{type(self).__name__} yielded arrivals out of order: "
-                    f"{arrival.arrival_ms} after {last}"
-                )
-            last = arrival.arrival_ms
-            yield arrival
-
-    def __iter__(self) -> Iterator[ApplicationArrival]:
-        return self.arrivals()
-
-    def materialize(self) -> ApplicationStream:
-        """Realize the whole source as an eager :class:`ApplicationStream`.
-
-        Requires the source to be finite; the result holds every
-        application in memory (the clairvoyant-baseline form static
-        policies plan on).
-        """
-        return ApplicationStream(list(self.arrivals()))
-
-
-class EagerSource(ArrivalSource):
-    """An already-materialized stream, exposed through the source API."""
-
-    def __init__(self, stream: ApplicationStream, name: str = "stream") -> None:
-        self.stream = stream
-        self.name = name
-
-    def __len__(self) -> int:
-        return len(self.stream)
-
-    def _generate(self) -> Iterator[ApplicationArrival]:
-        return iter(self.stream)
-
-    def materialize(self) -> ApplicationStream:
-        return self.stream
-
-
 class GeneratorSource(ArrivalSource):
     """A lazy source: DFGs built on demand, gaps drawn from a profile.
 
@@ -254,12 +174,12 @@ class GeneratorSource(ArrivalSource):
         The :class:`RateProfile` producing inter-arrival gaps.
     seed:
         Seed of the single RNG threaded through factory and profile, in
-        strict alternation (DFG ``i``, then gap ``i → i+1``) — the same
-        consumption order as :func:`~repro.graphs.streams.poisson_stream`,
-        so eager and lazy forms of one stream are bit-for-bit identical.
-    start_ms:
-        Arrival time of the first application (default 0, so the system
-        never idles on an empty queue at start).
+        strict alternation (DFG ``i``, then gap ``i → i+1``).  It reaches
+        ``numpy.random.default_rng`` as given, so a float seed raises
+        ``TypeError`` when the stream is generated.
+
+    The first application arrives at t = 0, so the system never idles on
+    an empty queue at start.
     """
 
     def __init__(
@@ -268,18 +188,14 @@ class GeneratorSource(ArrivalSource):
         application_factory: Callable[[int, np.random.Generator], DFG],
         profile: RateProfile,
         seed: int,
-        start_ms: float = 0.0,
         name: str | None = None,
     ) -> None:
         if n_applications < 1:
             raise ValueError("need at least one application")
-        if start_ms < 0:
-            raise ValueError("start_ms must be >= 0")
         self.n_applications = int(n_applications)
         self.application_factory = application_factory
         self.profile = profile
-        self.seed = int(seed)
-        self.start_ms = float(start_ms)
+        self.seed = seed
         self.name = name or f"{profile.kind}_stream_n{n_applications}_s{seed}"
 
     def __len__(self) -> int:
@@ -287,7 +203,7 @@ class GeneratorSource(ArrivalSource):
 
     def _generate(self) -> Iterator[ApplicationArrival]:
         rng = np.random.default_rng(self.seed)
-        t = self.start_ms
+        t = 0.0
         for i in range(self.n_applications):
             dfg = self.application_factory(i, rng)
             yield ApplicationArrival(dfg, t)
@@ -296,12 +212,9 @@ class GeneratorSource(ArrivalSource):
 
 __all__ = [
     "ArrivalSource",
-    "EagerSource",
     "GeneratorSource",
     "RateProfile",
     "PoissonProfile",
     "BurstProfile",
     "DiurnalProfile",
-    "PROFILE_KINDS",
-    "profile_from_dict",
 ]

@@ -4,8 +4,11 @@ The paper frames its input as "a stream of applications … [that] can
 have as many applications, and there is no specific number of instances
 or order in which the applications occur" (§3.2) but evaluates the
 submitted-at-once case.  This module generalizes to *online* streams:
-applications (DFGs) arriving over time, merged into one simulation whose
-kernels carry arrival times.
+applications (DFGs) arriving over time.  An :class:`ArrivalSource`
+describes such a stream; :class:`ApplicationStream` is the source whose
+applications are all in memory, and ``merged()`` folds it into one
+simulation whose kernels carry arrival times.  Lazy sources and rate
+profiles live in :mod:`repro.graphs.sources`.
 
 Static policies plan on the full merged DFG, so on streams they act as a
 clairvoyant upper baseline; the dynamic policies (APT included) only ever
@@ -15,10 +18,9 @@ dynamic scheduling is for.
 
 from __future__ import annotations
 
+import abc
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
-
-import numpy as np
+from typing import Iterator, Sequence
 
 from repro.graphs.dfg import DFG
 
@@ -37,8 +39,49 @@ class ApplicationArrival:
             raise ValueError("an application must contain at least one kernel")
 
 
-class ApplicationStream:
-    """An ordered sequence of application arrivals.
+class ArrivalSource(abc.ABC):
+    """A (possibly lazy) producer of application arrivals.
+
+    ``arrivals()`` yields :class:`ApplicationArrival` objects in
+    non-decreasing ``arrival_ms`` order — the contract the simulator's
+    streaming admission depends on (violations raise at iteration time).
+    """
+
+    #: human-readable identifier (used as the run's DFG name).
+    name: str = "source"
+
+    @abc.abstractmethod
+    def _generate(self) -> Iterator[ApplicationArrival]:
+        """Yield arrivals; concrete sources implement this."""
+
+    def arrivals(self) -> Iterator[ApplicationArrival]:
+        """The checked arrival iterator (enforces time ordering)."""
+        last = 0.0
+        for arrival in self._generate():
+            if arrival.arrival_ms < last:
+                raise ValueError(
+                    f"{type(self).__name__} yielded arrivals out of order: "
+                    f"{arrival.arrival_ms} after {last}"
+                )
+            last = arrival.arrival_ms
+            yield arrival
+
+    def __iter__(self) -> Iterator[ApplicationArrival]:
+        return self.arrivals()
+
+    def materialize(self) -> "ApplicationStream":
+        """Realize the whole source as an :class:`ApplicationStream` of
+        the same name.
+
+        Requires the source to be finite; the result holds every
+        application in memory (the clairvoyant-baseline form static
+        policies plan on).
+        """
+        return ApplicationStream(list(self.arrivals()), name=self.name)
+
+
+class ApplicationStream(ArrivalSource):
+    """A source whose applications are all in memory, in arrival order.
 
     ``merged()`` produces the single DFG + arrivals map the simulator
     consumes: kernel ids are renumbered contiguously in arrival order
@@ -46,16 +89,22 @@ class ApplicationStream:
     kernel inherits its application's arrival time.
     """
 
-    def __init__(self, arrivals: Sequence[ApplicationArrival]) -> None:
+    def __init__(
+        self, arrivals: Sequence[ApplicationArrival], name: str = "stream"
+    ) -> None:
         if not arrivals:
             raise ValueError("a stream needs at least one application")
         self._arrivals = sorted(arrivals, key=lambda a: a.arrival_ms)
+        self.name = name
 
     def __len__(self) -> int:
         return len(self._arrivals)
 
-    def __iter__(self) -> Iterator[ApplicationArrival]:
+    def _generate(self) -> Iterator[ApplicationArrival]:
         return iter(self._arrivals)
+
+    def materialize(self) -> "ApplicationStream":
+        return self
 
     @property
     def n_kernels(self) -> int:
@@ -72,19 +121,10 @@ class ApplicationStream:
         """
         return self._arrivals[-1].arrival_ms
 
-    @property
-    def span_ms(self) -> float:
-        """Alias of :attr:`last_arrival_ms` (kept for back-compat).
-
-        Note this is the span of the *arrival process only* — the time
-        over which applications keep joining — not the execution horizon;
-        a saturated system finishes long after the last arrival.
-        """
-        return self.last_arrival_ms
-
-    def merged(self, name: str = "stream") -> tuple[DFG, dict[int, float]]:
-        """One DFG plus the per-kernel arrival map for ``Simulator.run``."""
-        merged = DFG(name)
+    def merged(self, name: str | None = None) -> tuple[DFG, dict[int, float]]:
+        """One DFG (named ``name``, by default the stream's) plus the
+        per-kernel arrival map for ``Simulator.run``."""
+        merged = DFG(self.name if name is None else name)
         arrivals: dict[int, float] = {}
         offset = 0
         for app in self._arrivals:
@@ -98,47 +138,3 @@ class ApplicationStream:
             )
             offset += len(app.dfg)
         return merged, arrivals
-
-
-def poisson_stream(
-    n_applications: int,
-    mean_interarrival_ms: float,
-    application_factory: Callable[[int, np.random.Generator], DFG],
-    rng: np.random.Generator,
-) -> ApplicationStream:
-    """A Poisson-arrival stream of applications.
-
-    ``application_factory(index, rng)`` builds each application's DFG;
-    inter-arrival gaps are exponential with the given mean.  The first
-    application arrives at t = 0 so the system never idles on an empty
-    queue at start.
-    """
-    if n_applications < 1:
-        raise ValueError("need at least one application")
-    if mean_interarrival_ms <= 0:
-        raise ValueError("mean_interarrival_ms must be positive")
-    t = 0.0
-    out = []
-    for i in range(n_applications):
-        out.append(ApplicationArrival(application_factory(i, rng), t))
-        t += float(rng.exponential(mean_interarrival_ms))
-    return ApplicationStream(out)
-
-
-def periodic_stream(
-    n_applications: int,
-    period_ms: float,
-    application_factory: Callable[[int, np.random.Generator], DFG],
-    rng: np.random.Generator,
-) -> ApplicationStream:
-    """A fixed-period stream (frame pipelines, sensor batches)."""
-    if n_applications < 1:
-        raise ValueError("need at least one application")
-    if period_ms < 0:
-        raise ValueError("period_ms must be >= 0")
-    return ApplicationStream(
-        [
-            ApplicationArrival(application_factory(i, rng), i * period_ms)
-            for i in range(n_applications)
-        ]
-    )

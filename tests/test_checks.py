@@ -9,6 +9,7 @@ on a scratch copy of the real tree.
 
 from __future__ import annotations
 
+import os
 import shutil
 import subprocess
 import sys
@@ -269,15 +270,34 @@ def test_module_size_gate(tmp_path):
     }
 
 
-def test_docs_gate_keeps_block_output_out_of_its_report(tmp_path, capsys, monkeypatch):
-    # check_docs puts <root>/src on sys.path; restore it afterwards
-    monkeypatch.setattr(sys, "path", list(sys.path))
+def test_docs_gate_keeps_block_output_out_of_its_report(tmp_path, capsys):
     doc = tmp_path / "doc.md"
     doc.write_text(
         "# Doc\n\n```python\nprint('block output')\n```\n", encoding="utf-8"
     )
     assert check_docs(tmp_path, [doc], verbose=False) == []
     assert capsys.readouterr().out == ""
+
+
+def test_docs_gate_restores_the_path_and_environment(tmp_path, monkeypatch):
+    from repro.checks import gates
+
+    (tmp_path / "README.md").write_text(
+        "```python\nimport os\nos.environ['DOC_BLOCK_RAN'] = '1'\n```\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "demo.py").write_text(
+        "import os, sys\nassert os.environ['REPRO_EXAMPLE_FAST'] == '1'\n"
+        "sys.path.append('added-by-example')\n",
+        encoding="utf-8",
+    )
+    monkeypatch.setattr(gates, "EXAMPLE_SCRIPTS", ["examples/demo.py"])
+    monkeypatch.delenv("REPRO_EXAMPLE_FAST", raising=False)
+    path, environ = list(sys.path), dict(os.environ)
+    assert check_docs(tmp_path, verbose=False) == []
+    assert sys.path == path
+    assert dict(os.environ) == environ
 
 
 def test_committed_size_budgets_hold():

@@ -1,11 +1,11 @@
 """Processor views change only when their processor does.
 
 The engine rebuilds a processor's :class:`~repro.policies.base.
-ProcessorView` on assignment, start, completion and availability
-changes — never because the clock moved.  An idle view keeps the
-instant its processor went idle; :meth:`~repro.policies.base.
-SchedulingContext.free_at` clamps it to the clock for the policies that
-ask.  These tests pin the rebuild count (as a call count, not a timing)
+ProcessorView` on start, completion, availability changes and
+assignments that do not start at once — never because the clock moved.
+An idle view keeps the instant its processor went idle;
+:meth:`~repro.policies.base.SchedulingContext.free_at` clamps it to the
+clock for the policies that ask.  These tests pin the rebuild count (as a call count, not a timing)
 and what an idle view reports mid-run.
 """
 
@@ -23,10 +23,11 @@ from repro.policies.met import MET
 from tests.test_simulator import dfg_of
 
 
-def test_flat_apt_stream_rebuilds_each_view_three_times_per_kernel(monkeypatch):
+def test_flat_apt_stream_rebuilds_each_view_twice_per_kernel(monkeypatch):
     """One rebuild per processor to start, then one each for a kernel's
-    assignment, start and completion; rebuilding the idle views on every
-    clock move would make it ~8 per kernel on this stream."""
+    start and completion; an assignment that cannot start at once adds
+    one.  Rebuilding the idle views on every clock move would make it ~8
+    per kernel on this stream."""
     calls = 0
     refresh = EngineCore.refresh_view
 
@@ -44,7 +45,7 @@ def test_flat_apt_stream_rebuilds_each_view_three_times_per_kernel(monkeypatch):
     )
     n_kernels = result.stream.n_kernels
     assert n_kernels >= 1000
-    assert calls <= 3 * n_kernels + len(system)
+    assert calls <= 2 * n_kernels + len(system)
 
 
 class _Snoop(DynamicPolicy):

@@ -23,7 +23,7 @@ from repro.experiments.scenarios import (
     run_scenarios,
 )
 from repro.experiments.sweep import PolicySpec, SweepEngine, system_to_dict
-from repro.experiments.workloads import build_workload, paper_suite
+from repro.experiments.workloads import WORKLOAD_KINDS, build_workload, paper_suite
 from repro.graphs.dfg import KernelSpec
 from repro.policies.registry import get_policy
 
@@ -288,13 +288,29 @@ class TestExpansionMemo:
         assert [job.content_hash() for job in spec.jobs()] == before
 
     def test_float_seed_still_fails_after_the_int_seed_expanded(self):
-        paper_spec(1, MET, seed=2017, n_graphs=1).jobs()
-        # equal as a WorkloadSpec, but numpy refuses a float seed
-        assert paper_spec(1, MET, seed=2017.0, n_graphs=1).workload == (
-            paper_spec(1, MET, seed=2017, n_graphs=1).workload
-        )
-        with pytest.raises(TypeError):
-            paper_spec(1, MET, seed=2017.0, n_graphs=1).jobs()
+        small = {
+            "paper_suite": {"dfg_type": 1, "n_graphs": 1},
+            "pipeline": {"n_kernels": 12},
+            "streaming": {"n_kernels": 40},
+            "fork_join_stream": {"n_applications": 3},
+            "open_system": {"n_applications": 3},
+        }
+        assert set(small) == set(WORKLOAD_KINDS)
+        accepted = []
+        for kind, params in small.items():
+            as_int = flat_spec(kind, WorkloadSpec.of(kind, seed=2017, **params), MET)
+            as_float = flat_spec(
+                kind, WorkloadSpec.of(kind, seed=2017.0, **params), MET
+            )
+            as_int.jobs()
+            # equal as a WorkloadSpec, but numpy refuses a float seed
+            assert as_float.workload == as_int.workload
+            try:
+                as_float.jobs()
+            except TypeError:
+                continue
+            accepted.append(kind)
+        assert accepted == []
 
     def test_parameters_that_are_not_json_still_expand(self):
         as_numpy = flat_spec(

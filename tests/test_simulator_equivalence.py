@@ -28,7 +28,7 @@ from repro.policies.met import MET
 from repro.experiments.workloads import (
     paper_suite,
     scale_system,
-    streaming_scale_workload,
+    streaming_scale_source,
 )
 from repro.policies.registry import available_policies, get_policy
 
@@ -225,9 +225,9 @@ class TestContendedVsUncontended:
 class TestStreamingArrivals:
     @pytest.mark.parametrize("policy_name", ALL_POLICIES)
     def test_streaming_equivalence(self, policy_name, lookup):
-        dfg, arrivals = streaming_scale_workload(
+        dfg, arrivals = streaming_scale_source(
             n_kernels=250, seed=11, mean_interarrival_ms=2000.0
-        )
+        ).materialize().merged()
         assert_identical_runs(
             {"system": scale_system(n_cpu=2, n_gpu=2, n_fpga=2), "lookup": lookup},
             dfg,
@@ -240,9 +240,9 @@ class TestStreamingArrivals:
         # Arrivals outpace 12 processors, so up to ~100 kernels wait and
         # the engine's candidate index leaves most of them unvisited; the
         # reference still scans every ready kernel on every call.
-        dfg, arrivals = streaming_scale_workload(
+        dfg, arrivals = streaming_scale_source(
             n_kernels=400, mean_interarrival_ms=300.0
-        )
+        ).materialize().merged()
         assert_identical_runs(
             {"system": scale_system(), "lookup": lookup},
             dfg,
@@ -252,9 +252,9 @@ class TestStreamingArrivals:
 
     @pytest.mark.parametrize("policy_name", ["apt", "apt_rt", "met", "ag", "heft"])
     def test_streaming_with_noise_equivalence(self, policy_name, lookup):
-        dfg, arrivals = streaming_scale_workload(
+        dfg, arrivals = streaming_scale_source(
             n_kernels=200, seed=3, mean_interarrival_ms=1500.0
-        )
+        ).materialize().merged()
         assert_identical_runs(
             {
                 "system": scale_system(n_cpu=2, n_gpu=2, n_fpga=2),
@@ -274,17 +274,15 @@ class TestEventDrivenArrivalPath:
     of every kernel, for every policy, on the paper suites, the streaming
     extension, and the published Figure 5 anchors."""
 
-    def assert_stream_equivalent(self, sim_kwargs, stream, policy_name, name="stream"):
-        from repro.graphs.sources import EagerSource
-
+    def assert_stream_equivalent(self, sim_kwargs, stream, policy_name):
         system = sim_kwargs.pop("system")
         lookup = sim_kwargs.pop("lookup")
         sim = Simulator(system, lookup, **sim_kwargs)
-        merged, arrivals = stream.merged(name=name)
+        merged, arrivals = stream.merged()
         ref = sim.run(merged, get_policy(policy_name), arrivals=arrivals)
-        out = sim.run_stream(EagerSource(stream, name=name), get_policy(policy_name))
+        out = sim.run_stream(stream, get_policy(policy_name))
         assert list(out.schedule) == list(ref.schedule), (
-            f"stream/merged divergence: {policy_name} on {name}"
+            f"stream/merged divergence: {policy_name} on {stream.name}"
         )
         assert out.metrics == ref.metrics
         assert out.policy_stats == ref.policy_stats
@@ -297,18 +295,16 @@ class TestEventDrivenArrivalPath:
         from repro.graphs.streams import ApplicationArrival, ApplicationStream
 
         for dfg in paper_suite(dfg_type)[:4]:
-            stream = ApplicationStream([ApplicationArrival(dfg, 0.0)])
+            stream = ApplicationStream([ApplicationArrival(dfg, 0.0)], name=dfg.name)
             self.assert_stream_equivalent(
-                {"system": system, "lookup": lookup}, stream, policy_name, name=dfg.name
+                {"system": system, "lookup": lookup}, stream, policy_name
             )
 
     @pytest.mark.parametrize("policy_name", ALL_POLICIES)
     def test_streaming_extension_equivalence(self, policy_name, lookup):
-        from repro.experiments.workloads import streaming_scale_stream
-
-        stream = streaming_scale_stream(
+        stream = streaming_scale_source(
             n_kernels=250, seed=11, mean_interarrival_ms=2000.0
-        )
+        ).materialize()
         self.assert_stream_equivalent(
             {"system": scale_system(n_cpu=2, n_gpu=2, n_fpga=2), "lookup": lookup},
             stream,
@@ -317,11 +313,9 @@ class TestEventDrivenArrivalPath:
 
     @pytest.mark.parametrize("policy_name", ["apt", "apt_rt", "met", "ag", "heft"])
     def test_streaming_with_noise_equivalence(self, policy_name, lookup):
-        from repro.experiments.workloads import streaming_scale_stream
-
-        stream = streaming_scale_stream(
+        stream = streaming_scale_source(
             n_kernels=200, seed=3, mean_interarrival_ms=1500.0
-        )
+        ).materialize()
         self.assert_stream_equivalent(
             {
                 "system": scale_system(n_cpu=2, n_gpu=2, n_fpga=2),
@@ -335,9 +329,6 @@ class TestEventDrivenArrivalPath:
 
     @pytest.mark.parametrize("policy_name", ["apt", "met", "ag"])
     def test_contended_bus_stream_equivalence(self, policy_name, lookup):
-        from repro.experiments.workloads import streaming_scale_stream
-        from repro.graphs.sources import EagerSource
-
         flat = CPU_GPU_FPGA(transfer_rate_gbps=4.0)
         procs = [Processor(p.name, p.ptype) for p in flat]
         system = SystemConfig(
@@ -346,13 +337,13 @@ class TestEventDrivenArrivalPath:
                 [p.name for p in procs], bus_gbps=4.0, contention=True
             ),
         )
-        stream = streaming_scale_stream(
+        stream = streaming_scale_source(
             n_kernels=150, seed=5, mean_interarrival_ms=2000.0
-        )
+        ).materialize()
         sim = Simulator(system, lookup)
-        merged, arrivals = stream.merged(name="stream")
+        merged, arrivals = stream.merged()
         ref = sim.run(merged, get_policy(policy_name), arrivals=arrivals)
-        out = sim.run_stream(EagerSource(stream, name="stream"), get_policy(policy_name))
+        out = sim.run_stream(stream, get_policy(policy_name))
         assert list(out.schedule) == list(ref.schedule)
         assert out.metrics == ref.metrics
 
@@ -420,9 +411,6 @@ class TestLayeredEngineSeams:
 
     @pytest.mark.parametrize("policy_name", ["apt", "met", "ag"])
     def test_noop_layer_invisible_on_contended_stream(self, policy_name, lookup):
-        from repro.experiments.workloads import streaming_scale_stream
-        from repro.graphs.sources import EagerSource
-
         flat = CPU_GPU_FPGA(transfer_rate_gbps=4.0)
         procs = [Processor(p.name, p.ptype) for p in flat]
         system = SystemConfig(
@@ -431,14 +419,12 @@ class TestLayeredEngineSeams:
                 [p.name for p in procs], bus_gbps=4.0, contention=True
             ),
         )
-        stream = streaming_scale_stream(
+        stream = streaming_scale_source(
             n_kernels=120, seed=5, mean_interarrival_ms=2000.0
-        )
-        base = Simulator(system, lookup).run_stream(
-            EagerSource(stream, name="s"), get_policy(policy_name)
-        )
+        ).materialize()
+        base = Simulator(system, lookup).run_stream(stream, get_policy(policy_name))
         layered = Simulator(system, lookup, dynamics=[self.noop_layer()]).run_stream(
-            EagerSource(stream, name="s"), get_policy(policy_name)
+            stream, get_policy(policy_name)
         )
         assert list(layered.schedule) == list(base.schedule)
         assert layered.metrics == base.metrics

@@ -2,8 +2,8 @@
 
 Bit-for-bit equivalence against the merged-DFG path is asserted in
 ``tests/test_simulator_equivalence.py``; this module covers the
-streaming path's own contracts: bounded-memory retirement, eager-vs-lazy
-source equality, the accumulator (no-schedule) mode, service-level
+streaming path's own contracts: bounded-memory retirement, in-memory and
+lazy sources alike, the accumulator (no-schedule) mode, service-level
 metrics, and the static-policy clairvoyant fallback.
 """
 
@@ -19,9 +19,8 @@ from repro.experiments.workloads import (
     open_system_source,
     scale_system,
     streaming_scale_source,
-    streaming_scale_stream,
 )
-from repro.graphs.sources import EagerSource, GeneratorSource, PoissonProfile
+from repro.graphs.sources import BurstProfile, GeneratorSource, PoissonProfile
 from repro.graphs.streams import ApplicationArrival, ApplicationStream
 from repro.policies.heft import HEFT
 from repro.policies.registry import get_policy
@@ -45,8 +44,13 @@ def two_app_stream(t2: float = 40.0) -> ApplicationStream:
 class TestRunStreamBasics:
     def test_accepts_stream_and_source(self, synth_sim):
         stream = two_app_stream()
+        apps = [arrival.dfg for arrival in stream]
+        # the same two applications, built on demand 40 ms apart
+        lazy = GeneratorSource(
+            2, lambda i, rng: apps[i], BurstProfile(1, 0.0, 40.0), seed=0
+        )
         a = synth_sim.run_stream(stream, get_policy("met"))
-        b = synth_sim.run_stream(EagerSource(stream, name="stream"), get_policy("met"))
+        b = synth_sim.run_stream(lazy, get_policy("met"))
         assert list(a.schedule) == list(b.schedule)
         assert a.stream.n_applications == 2
         assert a.stream.n_kernels == 4
@@ -95,7 +99,7 @@ class TestStaticPolicyClairvoyantFallback:
         stream = two_app_stream()
         merged, arrivals = stream.merged(name="stream")
         ref = synth_sim.run(merged, HEFT(), arrivals=arrivals)
-        out = synth_sim.run_stream(EagerSource(stream, name="stream"), HEFT())
+        out = synth_sim.run_stream(stream, HEFT())
         assert list(out.schedule) == list(ref.schedule)
         # clairvoyant: the whole stream is resident, nothing is retired
         assert out.stream.peak_resident_kernels == out.stream.n_kernels
@@ -180,24 +184,6 @@ class TestBoundedMemory:
 
 
 class TestScaleStreamSource:
-    def test_lazy_source_matches_eager_stream(self):
-        """streaming_scale_source replays streaming_scale_stream's RNG
-        consumption exactly — eager and lazy forms are bit-identical."""
-        eager = streaming_scale_stream(3000, seed=5, mean_interarrival_ms=400.0)
-        source = streaming_scale_source(3000, seed=5, mean_interarrival_ms=400.0)
-        lazy = source.materialize()
-        assert len(lazy) == len(eager) == len(source)
-        assert source.total_kernels == eager.n_kernels
-        for a, b in zip(eager, lazy):
-            assert a.arrival_ms == b.arrival_ms
-            assert a.dfg.name == b.dfg.name
-            specs_a = [a.dfg.spec(k) for k in a.dfg.kernel_ids()]
-            specs_b = [b.dfg.spec(k) for k in b.dfg.kernel_ids()]
-            assert [
-                (s.kernel, s.data_size) for s in specs_a
-            ] == [(s.kernel, s.data_size) for s in specs_b]
-            assert a.dfg.edges() == b.dfg.edges()
-
     def test_source_validates_parameters(self):
         with pytest.raises(ValueError):
             streaming_scale_source(4)
@@ -218,7 +204,7 @@ class TestStreamEdgeCases:
         assert out.service.records[1].queueing_ms == pytest.approx(0.0)
 
     def test_source_name_reported(self, synth_sim):
-        src = EagerSource(two_app_stream(), name="my_stream")
+        src = ApplicationStream(list(two_app_stream()), name="my_stream")
         out = synth_sim.run_stream(src, get_policy("met"))
         assert out.source_name == "my_stream"
 

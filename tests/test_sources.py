@@ -5,21 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.experiments.workloads import open_system_profile
 from repro.graphs.dfg import DFG, KernelSpec
 from repro.graphs.sources import (
     ArrivalSource,
     BurstProfile,
     DiurnalProfile,
-    EagerSource,
     GeneratorSource,
     PoissonProfile,
-    profile_from_dict,
 )
-from repro.graphs.streams import (
-    ApplicationArrival,
-    ApplicationStream,
-    poisson_stream,
-)
+from repro.graphs.streams import ApplicationArrival, ApplicationStream
 
 
 def tiny_app(name: str = "app") -> DFG:
@@ -83,38 +78,37 @@ class TestProfiles:
         ],
     )
     def test_dict_round_trip(self, profile):
-        assert profile_from_dict(profile.to_dict()) == profile
+        # to_dict enters the open_system cache key: its flat parameters
+        # rebuild the same profile through the workload's own builder
+        params = profile.to_dict()
+        kind = params.pop("kind")
+        assert open_system_profile(kind, **params) == profile
 
     def test_unknown_profile_kind_rejected(self):
         with pytest.raises(ValueError):
-            profile_from_dict({"kind": "bogus"})
+            open_system_profile("bogus")
 
 
-class TestEagerSource:
-    def test_wraps_stream(self):
+class TestStreamAsSource:
+    def test_stream_is_its_own_source(self):
         stream = ApplicationStream(
-            [ApplicationArrival(tiny_app(), 0.0), ApplicationArrival(tiny_app(), 9.0)]
+            [ApplicationArrival(tiny_app(), 9.0), ApplicationArrival(tiny_app(), 0.0)],
+            name="s",
         )
-        src = EagerSource(stream, name="s")
-        assert len(src) == 2
-        assert [a.arrival_ms for a in src] == [0.0, 9.0]
-        assert src.materialize() is stream
+        assert isinstance(stream, ArrivalSource)
+        assert stream.name == "s"
+        assert len(stream) == 2
+        assert [a.arrival_ms for a in stream.arrivals()] == [0.0, 9.0]
+        assert stream.materialize() is stream
+
+    def test_materialize_keeps_the_source_name(self):
+        src = GeneratorSource(3, tiny_factory, PoissonProfile(10.0), seed=0, name="g")
+        stream = src.materialize()
+        assert stream.name == "g"
+        assert [a.arrival_ms for a in stream] == [a.arrival_ms for a in src]
 
 
 class TestGeneratorSource:
-    def test_matches_poisson_stream_bit_for_bit(self):
-        # the determinism contract: lazy generation consumes the RNG in
-        # the same order as the eager poisson_stream helper
-        lazy = GeneratorSource(12, tiny_factory, PoissonProfile(77.0), seed=5)
-        eager = poisson_stream(12, 77.0, tiny_factory, np.random.default_rng(5))
-        lazy_arrivals = list(lazy)
-        assert [a.arrival_ms for a in lazy_arrivals] == [
-            a.arrival_ms for a in eager
-        ]
-        for a, b in zip(lazy_arrivals, eager):
-            assert a.dfg.edges() == b.dfg.edges()
-            assert [a.dfg.spec(k) for k in a.dfg] == [b.dfg.spec(k) for k in b.dfg]
-
     def test_lazy_construction(self):
         built = []
 
@@ -130,6 +124,26 @@ class TestGeneratorSource:
         next(it)
         assert built == [0, 1]
 
+    def test_follows_the_documented_rng_order(self):
+        # the determinism contract: one default_rng(seed) feeds DFG i,
+        # then the gap to arrival i + 1, in strict alternation
+        def factory(i, rng):
+            dfg = DFG(f"app{i}")
+            for _ in range(int(rng.integers(1, 4))):
+                dfg.add_kernel(KernelSpec("fast_cpu", int(rng.integers(1, 10**6))))
+            return dfg
+
+        rng = np.random.default_rng(5)
+        expected, t = [], 0.0
+        for i in range(12):
+            dfg = factory(i, rng)
+            expected.append((t, [dfg.spec(k).data_size for k in dfg]))
+            t += float(rng.exponential(77.0))
+        lazy = GeneratorSource(12, factory, PoissonProfile(77.0), seed=5)
+        assert [
+            (a.arrival_ms, [a.dfg.spec(k).data_size for k in a.dfg]) for a in lazy
+        ] == expected
+
     def test_restartable(self):
         src = GeneratorSource(4, tiny_factory, PoissonProfile(50.0), seed=2)
         assert [a.arrival_ms for a in src] == [a.arrival_ms for a in src]
@@ -137,8 +151,6 @@ class TestGeneratorSource:
     def test_validation(self):
         with pytest.raises(ValueError):
             GeneratorSource(0, tiny_factory, PoissonProfile(10.0), seed=0)
-        with pytest.raises(ValueError):
-            GeneratorSource(2, tiny_factory, PoissonProfile(10.0), seed=0, start_ms=-1)
 
     def test_out_of_order_source_rejected(self):
         class Backwards(ArrivalSource):
@@ -154,7 +166,7 @@ class TestGeneratorSource:
 
 class TestPoissonCrossProcessStability:
     def test_arrival_times_stable_across_processes(self):
-        """A fixed-seed poisson_stream is bit-for-bit identical in a fresh
+        """A fixed-seed Poisson GeneratorSource is bit-for-bit identical in a fresh
         interpreter — the property the sweep cache's cross-process
         determinism rests on."""
         import json
@@ -165,7 +177,7 @@ class TestPoissonCrossProcessStability:
         script = (
             "import json, sys\n"
             "import numpy as np\n"
-            "from repro.graphs.streams import poisson_stream\n"
+            "from repro.graphs.sources import GeneratorSource, PoissonProfile\n"
             "from repro.graphs.dfg import DFG, KernelSpec\n"
             "def factory(i, rng):\n"
             "    dfg = DFG(f'app{i}')\n"
@@ -173,7 +185,7 @@ class TestPoissonCrossProcessStability:
             "    for _ in range(n):\n"
             "        dfg.add_kernel(KernelSpec('fast_cpu', int(rng.integers(1, 10**6))))\n"
             "    return dfg\n"
-            "s = poisson_stream(20, 123.0, factory, np.random.default_rng(42))\n"
+            "s = GeneratorSource(20, factory, PoissonProfile(123.0), seed=42)\n"
             "print(json.dumps([[a.arrival_ms, len(a.dfg),\n"
             "    [a.dfg.spec(k).data_size for k in a.dfg]] for a in s]))\n"
         )
@@ -194,7 +206,7 @@ class TestPoissonCrossProcessStability:
                 dfg.add_kernel(KernelSpec("fast_cpu", int(rng.integers(1, 10**6))))
             return dfg
 
-        here = poisson_stream(20, 123.0, factory, np.random.default_rng(42))
+        here = GeneratorSource(20, factory, PoissonProfile(123.0), seed=42)
         ours = [
             [a.arrival_ms, len(a.dfg), [a.dfg.spec(k).data_size for k in a.dfg]]
             for a in here

@@ -1,15 +1,10 @@
 """Tests for streaming arrivals (online workloads)."""
 
-import numpy as np
 import pytest
 
 from repro.graphs.dfg import DFG
-from repro.graphs.streams import (
-    ApplicationArrival,
-    ApplicationStream,
-    periodic_stream,
-    poisson_stream,
-)
+from repro.graphs.sources import BurstProfile, GeneratorSource, PoissonProfile
+from repro.graphs.streams import ApplicationArrival, ApplicationStream
 from repro.policies.apt import APT
 from repro.policies.met import MET
 from repro.policies.olb import OLB
@@ -96,7 +91,7 @@ class TestApplicationStream:
         stream = ApplicationStream([ApplicationArrival(two_kernel_app(), 5.0)])
         assert len(stream) == 1
         assert stream.n_kernels == 2
-        assert stream.span_ms == 5.0
+        assert stream.last_arrival_ms == 5.0
 
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError):
@@ -123,35 +118,43 @@ class TestApplicationStream:
 
 
 class TestStreamGenerators:
-    def test_poisson_first_arrival_at_zero(self, rng):
-        stream = poisson_stream(5, 100.0, lambda i, r: two_kernel_app(), rng)
+    def test_poisson_first_arrival_at_zero(self):
+        stream = GeneratorSource(
+            5, lambda i, r: two_kernel_app(), PoissonProfile(100.0), seed=0
+        ).materialize()
         assert [a.arrival_ms for a in stream][0] == 0.0
         assert len(stream) == 5
 
     def test_poisson_deterministic_given_seed(self):
-        a = poisson_stream(
-            6, 50.0, lambda i, r: two_kernel_app(), np.random.default_rng(3)
-        )
-        b = poisson_stream(
-            6, 50.0, lambda i, r: two_kernel_app(), np.random.default_rng(3)
-        )
+        a = GeneratorSource(
+            6, lambda i, r: two_kernel_app(), PoissonProfile(50.0), seed=3
+        ).materialize()
+        b = GeneratorSource(
+            6, lambda i, r: two_kernel_app(), PoissonProfile(50.0), seed=3
+        ).materialize()
         assert [x.arrival_ms for x in a] == [x.arrival_ms for x in b]
 
-    def test_poisson_parameter_validation(self, rng):
+    def test_poisson_parameter_validation(self):
         with pytest.raises(ValueError):
-            poisson_stream(0, 10.0, lambda i, r: two_kernel_app(), rng)
+            GeneratorSource(0, lambda i, r: two_kernel_app(), PoissonProfile(10.0), 0)
         with pytest.raises(ValueError):
-            poisson_stream(3, 0.0, lambda i, r: two_kernel_app(), rng)
+            GeneratorSource(3, lambda i, r: two_kernel_app(), PoissonProfile(0.0), 0)
 
-    def test_periodic_spacing(self, rng):
-        stream = periodic_stream(4, 25.0, lambda i, r: two_kernel_app(), rng)
+    def test_periodic_spacing(self):
+        # bursts of one are a fixed period
+        stream = GeneratorSource(
+            4, lambda i, r: two_kernel_app(), BurstProfile(1, 0.0, 25.0), seed=0
+        ).materialize()
         assert [a.arrival_ms for a in stream] == [0.0, 25.0, 50.0, 75.0]
 
-    def test_factory_receives_index(self, rng):
+    def test_factory_receives_index(self):
         seen = []
-        periodic_stream(
-            3, 1.0, lambda i, r: (seen.append(i), two_kernel_app())[1], rng
-        )
+        GeneratorSource(
+            3,
+            lambda i, r: (seen.append(i), two_kernel_app())[1],
+            PoissonProfile(1.0),
+            seed=0,
+        ).materialize()
         assert seen == [0, 1, 2]
 
 
@@ -168,12 +171,12 @@ class TestStreamingBehaviour:
         apt = synth_sim_no_transfer.run(merged, APT(alpha=5.0), arrivals=arrivals)
         assert apt.makespan < met.makespan
 
-    def test_sparse_stream_has_no_queueing(self, synth_sim, rng):
+    def test_sparse_stream_has_no_queueing(self, synth_sim):
         # Inter-arrival far above service time: every kernel starts at its
-        # arrival instant, λ = 0.
-        stream = periodic_stream(
-            3, 1_000.0, lambda i, r: dfg_of("fast_cpu"), rng
-        )
+        # arrival instant, λ = 0.  Bursts of one are a fixed period.
+        stream = GeneratorSource(
+            3, lambda i, r: dfg_of("fast_cpu"), BurstProfile(1, 0.0, 1_000.0), seed=0
+        ).materialize()
         merged, arrivals = stream.merged()
         result = synth_sim.run(merged, MET(), arrivals=arrivals)
         assert result.metrics.lambda_stats.total == pytest.approx(0.0)
@@ -283,8 +286,8 @@ class TestMergedProperties:
 
 
 class TestPoissonStreamProperties:
-    """Determinism law of poisson_stream: a fixed seed pins the whole
-    arrival process, bit for bit.  (The cross-*process* form of this
+    """Determinism law of a Poisson GeneratorSource: a fixed seed pins
+    the whole arrival process, bit for bit.  (The cross-*process* form of this
     guarantee — a fresh interpreter reproduces the same floats — is
     checked in tests/test_sources.py.)"""
 
@@ -298,14 +301,13 @@ class TestPoissonStreamProperties:
         def factory(i, rng):
             return dfg_of("fast_cpu")
 
-        a = poisson_stream(n, mean, factory, np.random.default_rng(seed))
-        b = poisson_stream(n, mean, factory, np.random.default_rng(seed))
+        a = GeneratorSource(n, factory, PoissonProfile(mean), seed).materialize()
+        b = GeneratorSource(n, factory, PoissonProfile(mean), seed).materialize()
         times_a = [x.arrival_ms for x in a]
         times_b = [x.arrival_ms for x in b]
-        # bitwise equality, not approx: the sweep cache and the lazy
-        # GeneratorSource equivalence both rest on exact floats
+        # bitwise equality, not approx: the sweep cache rests on exact
+        # floats
         assert times_a == times_b
         assert times_a[0] == 0.0
         assert times_a == sorted(times_a)
         assert a.last_arrival_ms == times_a[-1]
-        assert a.span_ms == a.last_arrival_ms
