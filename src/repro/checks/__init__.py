@@ -16,25 +16,8 @@ see.  This package machine-checks them *at rest*, before any test runs:
   reporting format (module size budgets, executable docs);
 * :mod:`repro.checks.runner` — the CLI entry point behind
   ``apt-sched check`` and ``tools/run_checks.py``.
+
+The package itself imports none of them: every ``apt-sched`` process
+imports the runner to register the arguments of ``check``, and the
+runner loads the rule machinery only when the checks run.
 """
-
-from repro.checks.framework import (
-    Finding,
-    Module,
-    Project,
-    Rule,
-    load_project,
-    run_rules,
-)
-from repro.checks.rules import ALL_RULES, get_rule
-
-__all__ = [
-    "ALL_RULES",
-    "Finding",
-    "Module",
-    "Project",
-    "Rule",
-    "get_rule",
-    "load_project",
-    "run_rules",
-]

@@ -19,10 +19,10 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING, Sequence
 
-from repro.checks.framework import Finding, load_project, run_rules
-from repro.checks.gates import check_docs, check_module_sizes
-from repro.checks.rules import ALL_RULES, get_rule, write_fingerprint
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.checks.framework import Rule
 
 #: gate names accepted by ``--gates``.
 GATES = ("rules", "size", "docs")
@@ -74,8 +74,8 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _list_rules() -> int:
-    for rule in ALL_RULES:
+def _list_rules(catalog: "Sequence[Rule]") -> int:
+    for rule in catalog:
         scope = ", ".join(rule.scope) if rule.scope else "whole tree"
         print(f"{rule.id:24s} {rule.title}  [{scope}]")
     print(f"{'module-size':24s} source modules stay within line budgets  [gate]")
@@ -85,8 +85,14 @@ def _list_rules() -> int:
 
 def run(args: argparse.Namespace) -> int:
     """Execute the checks described by parsed ``args``."""
+    # the rule machinery loads here: every CLI process imports this
+    # module, only to register the arguments of `check`
+    from repro.checks.framework import Finding, load_project, run_rules
+    from repro.checks.gates import check_docs, check_module_sizes
+    from repro.checks.rules import ALL_RULES, get_rule, write_fingerprint
+
     if args.list_rules:
-        return _list_rules()
+        return _list_rules(ALL_RULES)
 
     gates = [g.strip() for g in args.gates.split(",") if g.strip()]
     unknown = sorted(set(gates) - set(GATES))

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import inspect
 import json
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterable, Mapping, Sequence
@@ -43,6 +41,7 @@ from repro.data.paper_tables import paper_lookup_table
 from repro.experiments.report import TableResult
 from repro.experiments.sweep import (
     LINK_OVERRIDES_ERROR,
+    BoundedLRU,
     JobResult,
     PolicySpec,
     SimSettings,
@@ -110,10 +109,8 @@ class WorkloadSpec:
 #: ``fat_tree_streaming`` stream), so the memo stays under 16 MiB; every
 #: registered scenario's workload fits at once.
 _UNIT_MEMO_KERNELS = 20_000
-#: canonical workload JSON -> (its units, their kernel count), least
-#: recently used first
-_UNIT_MEMO: "OrderedDict[str, tuple[list[WorkloadUnit], int]]" = OrderedDict()
-_UNIT_MEMO_LOCK = threading.Lock()
+#: canonical workload JSON -> its units, weighed by their kernel count
+_UNIT_MEMO = BoundedLRU(_UNIT_MEMO_KERNELS)
 
 
 def _expansion_units(workload: WorkloadSpec) -> list[WorkloadUnit]:
@@ -129,21 +126,11 @@ def _expansion_units(workload: WorkloadSpec) -> list[WorkloadUnit]:
         key = json.dumps(workload.to_dict(), sort_keys=True)
     except (TypeError, ValueError):
         return workload.build()
-    with _UNIT_MEMO_LOCK:
-        entry = _UNIT_MEMO.get(key)
-        if entry is not None:
-            _UNIT_MEMO.move_to_end(key)
-            return entry[0]
-    units = workload.build()
-    kernels = sum(len(unit.dfg) for unit in units)
-    if kernels <= _UNIT_MEMO_KERNELS:
-        with _UNIT_MEMO_LOCK:
-            _UNIT_MEMO[key] = (units, kernels)
-            held = sum(n for _, n in _UNIT_MEMO.values())
-            while held > _UNIT_MEMO_KERNELS:
-                _, (_, n) = _UNIT_MEMO.popitem(last=False)
-                held -= n
-    return units
+    units = _UNIT_MEMO.get(key)
+    if units is None:
+        units = workload.build()
+        _UNIT_MEMO.put(key, units, sum(len(unit.dfg) for unit in units))
+    return units  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)

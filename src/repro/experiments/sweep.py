@@ -43,10 +43,13 @@ import json
 import multiprocessing
 import os
 import tempfile
+import threading
 import weakref
+from collections import OrderedDict
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence, TypeVar
 
 try:  # pragma: no cover - fcntl is stdlib on every POSIX platform
     import fcntl
@@ -282,12 +285,13 @@ class SweepJob:
     #: its fault-free twin.
     dynamics: list[dict[str, object]] | None = None
     #: Hashing shortcuts derived from the fields above: the digest of
-    #: ``lookup`` and the canonical JSON of ``dfg`` (both set by
-    #: :func:`make_job`), and the memoized content hash.  Never
+    #: ``lookup``, the canonical JSON of ``dfg`` and its digest (all set
+    #: by :func:`make_job`), and the memoized content hash.  Never
     #: semantics, and not init fields, so ``dataclasses.replace``
     #: re-derives them instead of copying a stale value.
     lookup_digest: str | None = field(default=None, init=False, compare=False)
     _dfg_json: str | None = field(default=None, init=False, repr=False, compare=False)
+    _dfg_digest: str | None = field(default=None, init=False, repr=False, compare=False)
     _hash: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def payload(self) -> dict[str, object]:
@@ -334,17 +338,27 @@ class SweepJob:
             before = _canonical({k: v for k, v in body.items() if k < "dfg"})
             after = _canonical({k: v for k, v in body.items() if k > "dfg"})
             blob = f'{before[:-1]},"dfg":{self._dfg_json},{after[1:]}'
-            self._hash = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+            self._hash = _digest(blob)
         return self._hash
 
     def runnable_payload(self) -> dict[str, object]:
-        """Like :meth:`payload` but carrying the provider module and the
-        precomputed content hash, so workers neither import-guess nor
-        re-hash the full payload."""
+        """Like :meth:`payload` but carrying the provider module, the
+        precomputed content hash and the digests of the DFG and the
+        lookup table, so workers neither import-guess nor re-hash the
+        full payload, and decode each graph and table once."""
         out = self.payload()
         out["provider"] = self.policy.provider
         out["job_hash"] = self.content_hash()
+        if self._dfg_digest is None:
+            self._dfg_digest = _digest(self._dfg_json)  # type: ignore[arg-type]
+        out["dfg_digest"] = self._dfg_digest
+        out["lookup_digest"] = self.lookup_digest
         return out
+
+
+#: Payload keys that are plumbing, never semantics: no content hash
+#: covers them.
+PLUMBING_KEYS = ("provider", "job_hash", "dfg_digest", "lookup_digest")
 
 
 def _canonical(value: object) -> str:
@@ -352,33 +366,73 @@ def _canonical(value: object) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def job_hash(payload: Mapping[str, object]) -> str:
     """SHA-256 over the canonical JSON encoding of a mapping."""
-    return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
+    return _digest(_canonical(payload))
 
 
 def hash_payload(payload: Mapping[str, object]) -> str:
     """Content hash of a job payload.
 
-    Plumbing keys (``provider``, ``job_hash``) are excluded, and inline
+    Plumbing keys (:data:`PLUMBING_KEYS`) are excluded, and inline
     lookup records are collapsed to their digest first — so the hash is
     identical whether the payload carries the full table or a digest
     shortcut, and identical in every process.
     """
-    body = {k: v for k, v in payload.items() if k not in ("provider", "job_hash")}
+    body = {k: v for k, v in payload.items() if k not in PLUMBING_KEYS}
     lookup = body.get("lookup")
     if isinstance(lookup, list):
         body["lookup"] = job_hash({"records": lookup})
     return job_hash(body)
 
 
+class BoundedLRU:
+    """A thread-safe least-recently-used map bounded by the summed sizes
+    of its values (each :meth:`put` names its value's size).
+
+    A value larger than the whole bound is never stored; storing one
+    that overflows the bound evicts least recently used entries first.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.held = 0
+        self._entries: "OrderedDict[object, tuple[object, int]]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: object) -> object | None:
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            self._entries.move_to_end(key)
+            return entry[0]
+
+    def put(self, key: object, value: object, size: int) -> None:
+        if size > self.capacity:
+            return
+        with self._lock:
+            old = self._entries.pop(key, None)
+            held = self.held - (old[1] if old is not None else 0)
+            while held + size > self.capacity:
+                _, (_, evicted) = self._entries.popitem(last=False)
+                held -= evicted
+            self._entries[key] = (value, size)
+            self.held = held + size
+
+
 #: Per-object memo of expensive serializations: a lookup table's records
-#: + digest, and a DFG's dict form + canonical JSON.  Keyed weakly so
-#: tables/graphs are serialized once per sweep, not once per job.
+#: + digest, and a DFG's dict form + canonical JSON + its digest.  Keyed
+#: weakly so tables/graphs are serialized once per sweep, not once per
+#: job.
 _LOOKUP_MEMO: "weakref.WeakKeyDictionary[LookupTable, tuple[list, str]]" = (
     weakref.WeakKeyDictionary()
 )
-_DFG_MEMO: "weakref.WeakKeyDictionary[DFG, tuple[tuple, dict, str]]" = (
+_DFG_MEMO: "weakref.WeakKeyDictionary[DFG, tuple[tuple, dict, str, str]]" = (
     weakref.WeakKeyDictionary()
 )
 
@@ -392,17 +446,18 @@ def _lookup_records(lookup: LookupTable) -> tuple[list[dict[str, object]], str]:
     return memo
 
 
-def _dfg_dict(dfg: DFG) -> tuple[dict[str, object], str]:
-    """``dfg``'s dict form and its canonical JSON."""
+def _dfg_dict(dfg: DFG) -> tuple[dict[str, object], str, str]:
+    """``dfg``'s dict form, its canonical JSON and that JSON's digest."""
     # every public mutation of a DFG moves this signature, invalidating
     # the memo (LookupTable needs no such guard: it is immutable).
     sig = (dfg.name, len(dfg), dfg.n_edges)
     entry = _DFG_MEMO.get(dfg)
     if entry is None or entry[0] != sig:
         data = dfg_to_dict(dfg)
-        entry = (sig, data, _canonical(data))
+        text = _canonical(data)
+        entry = (sig, data, text, _digest(text))
         _DFG_MEMO[dfg] = entry
-    return entry[1], entry[2]
+    return entry[1], entry[2], entry[3]
 
 
 def app_spans_to_payload(spans: "Sequence[AppSpan] | None") -> list[list[float]] | None:
@@ -426,7 +481,7 @@ def make_job(
 ) -> SweepJob:
     """Serialize live objects into a :class:`SweepJob`."""
     records, digest = _lookup_records(lookup)
-    dfg_dict, dfg_json = _dfg_dict(dfg)
+    dfg_dict, dfg_json, dfg_digest = _dfg_dict(dfg)
     job = SweepJob(
         dfg=dfg_dict,
         system=system_to_dict(system),
@@ -441,6 +496,7 @@ def make_job(
     )
     job.lookup_digest = digest
     job._dfg_json = dfg_json
+    job._dfg_digest = dfg_digest
     return job
 
 
@@ -538,17 +594,74 @@ class JobResult:
         )
 
 
+#: Most kernels the decode memo keeps in decoded DFGs.  A decoded kernel
+#: holds about 0.35 KiB, and the payload section it was decoded from
+#: about 0.55 KiB more in a pool worker, so the DFG memo stays under
+#: 5 MiB.  Both paper suites (20 graphs, 1,768 kernels) fit twice over;
+#: a larger graph (a 10,008-kernel stream) is decoded for every job.
+_DECODE_MEMO_KERNELS = 5_000
+#: the decode memos: payload digest (a system's canonical JSON) ->
+#: (the section decoded, the decoded object)
+_DECODED_DFGS = BoundedLRU(_DECODE_MEMO_KERNELS)
+_DECODED_LOOKUPS = BoundedLRU(8)
+_DECODED_SYSTEMS = BoundedLRU(64)
+
+_T = TypeVar("_T")
+
+
+def _decoded(
+    memo: BoundedLRU,
+    key: object,
+    source: object,
+    decode: Callable[[Any], _T],
+    weigh: Callable[[_T], int] = lambda _value: 1,
+) -> _T:
+    """``decode(source)``, reused for a later ``source`` under the same
+    ``key`` once it is checked to equal the one decoded (identity
+    first).  A ``key`` that is not a string is no key: decode afresh."""
+    if not isinstance(key, str):
+        return decode(source)
+    entry = memo.get(key)
+    if entry is not None:
+        decoded_from, value = entry  # type: ignore[misc]
+        if decoded_from is source or decoded_from == source:
+            return value  # type: ignore[no-any-return]
+    value = decode(source)
+    memo.put(key, (source, value), weigh(value))
+    return value
+
+
 def execute_payload(payload: Mapping[str, object]) -> dict[str, object]:
     """Run one serialized job and return its result dict.
 
     This is the function worker processes execute; it rebuilds every
     object from the payload (never from parent-process state), which is
     what guarantees cross-process determinism and hash soundness.
+
+    Each distinct DFG, lookup table and system is decoded once per
+    process and then shared, read-only, by every later payload whose
+    ``dfg_digest``, ``lookup_digest`` or system JSON names it — but only
+    once the payload's section is checked to equal (identity first) the
+    one it was decoded from.  A payload without the digests, or with a
+    wrong one, costs a fresh decode, never a different simulation.
+    Each pool worker keeps its own memos.
     """
     provider = payload.get("provider")
-    dfg = dfg_from_dict(payload["dfg"])  # type: ignore[arg-type]
-    system = system_from_dict(payload["system"])  # type: ignore[arg-type]
-    lookup = LookupTable.from_records(payload["lookup"])  # type: ignore[arg-type]
+    dfg = _decoded(
+        _DECODED_DFGS, payload.get("dfg_digest"), payload["dfg"], dfg_from_dict, len
+    )
+    lookup = _decoded(
+        _DECODED_LOOKUPS,
+        payload.get("lookup_digest"),
+        payload["lookup"],
+        LookupTable.from_records,
+    )
+    system = _decoded(
+        _DECODED_SYSTEMS,
+        _canonical(payload["system"]),
+        payload["system"],
+        system_from_dict,
+    )
     policy_spec = PolicySpec.from_dict(
         payload["policy"], provider=str(provider) if provider else None  # type: ignore[arg-type]
     )
@@ -709,6 +822,14 @@ class ResultCache:
     entry rename + index rewrite form one critical section
     (``tests/test_sweep.py::test_concurrent_cache_writers`` hammers this
     with N processes).
+
+    A :meth:`batch` widens that section to a run of :meth:`put` calls:
+    the lock is taken once, every entry is renamed into place when its
+    ``put`` returns, and the index is read and rewritten once, when the
+    batch ends.  A writer killed mid-batch therefore leaves only valid
+    entries and an index that undercounts that batch.  A ``put`` outside
+    a batch is a batch of one.  A batch belongs to the thread that opened
+    it.
     """
 
     def __init__(self, cache_dir: str | Path) -> None:
@@ -717,6 +838,8 @@ class ResultCache:
             raise ValueError(f"cache_dir exists but is not a directory: {self.dir}")
         self.dir.mkdir(parents=True, exist_ok=True)
         self._lock = FileLock(self.dir / CACHE_LOCK_NAME)
+        #: ``[puts, fresh entries]`` of the open batch, if any
+        self._counts: list[int] | None = None
 
     def path_for(self, key: str) -> Path:
         return self.dir / f"{key}.json"
@@ -732,19 +855,39 @@ class ResultCache:
             return None
         return data
 
+    @contextmanager
+    def batch(self) -> Iterator[list[int]]:
+        """Hold the index lock across the block and add its puts to
+        ``index.meta`` in one rewrite at the end.  Inside an open batch
+        this joins it (:class:`FileLock` is not reentrant: a second
+        ``flock`` on a new descriptor blocks, even in this process)."""
+        if self._counts is not None:
+            yield self._counts
+            return
+        with self._lock:
+            self._counts = counts = [0, 0]
+            try:
+                yield counts
+            finally:
+                self._counts = None
+                if counts[0]:
+                    index = self._read_index()
+                    index["puts"] = int(index.get("puts", 0)) + counts[0]
+                    index["entries"] = int(index.get("entries", 0)) + counts[1]
+                    self._write_index(index)
+
     def put(self, key: str, record: Mapping[str, object]) -> None:
+        """Write ``record`` under ``key``; the entry is in place when this
+        returns, and the index counts it when the batch ends."""
         fd, tmp = tempfile.mkstemp(dir=self.dir, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 json.dump(record, fh)
-            with self._lock:
+            with self.batch() as counts:
                 fresh = not self.path_for(key).exists()
                 os.replace(tmp, self.path_for(key))
-                index = self._read_index()
-                index["puts"] = int(index.get("puts", 0)) + 1
-                if fresh:
-                    index["entries"] = int(index.get("entries", 0)) + 1
-                self._write_index(index)
+                counts[0] += 1
+                counts[1] += fresh
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)
@@ -752,7 +895,7 @@ class ResultCache:
 
     def stats(self) -> dict[str, int]:
         """The index counters: ``{"puts": ..., "entries": ...}``."""
-        with self._lock:
+        with self.batch():
             index = self._read_index()
         return {
             "puts": int(index.get("puts", 0)),
@@ -791,10 +934,11 @@ class ResultCache:
     def clear(self) -> int:
         """Delete all entries (and reset the index); returns how many."""
         n = 0
-        with self._lock:
+        with self.batch() as counts:
             for path in self.dir.glob("*.json"):
                 path.unlink()
                 n += 1
+            counts[:] = [0, 0]
             self._write_index({"version": CACHE_INDEX_VERSION, "puts": 0, "entries": 0})
         return n
 
@@ -848,7 +992,8 @@ class SweepEngine:
         """Execute (or recall) every job, preserving request order.
 
         Duplicate jobs within a batch are simulated once.  Results of
-        fresh simulations are written to both cache layers.
+        fresh simulations are written to both cache layers, the disk
+        layer in one :meth:`ResultCache.batch`.
         """
         hashes = [job.content_hash() for job in jobs]
         self.stats.requested += len(jobs)
@@ -876,19 +1021,23 @@ class SweepEngine:
         payloads = [job.runnable_payload() for job in pending.values()]
         outputs = _execute(payloads, self.workers)
         self.stats.simulated += len(outputs)
-        for key, record in zip(pending, outputs):
-            result = JobResult.from_dict(record)
-            resolved[key] = result
-            if self.use_cache:
-                self._memory[key] = result
-                if self.disk is not None:
-                    self.disk.put(key, record)
+        # one index rewrite for the whole write-back
+        with self.disk.batch() if self.disk is not None and outputs else nullcontext():
+            for key, record in zip(pending, outputs):
+                result = JobResult.from_dict(record)
+                resolved[key] = result
+                if self.use_cache:
+                    self._memory[key] = result
+                    if self.disk is not None:
+                        self.disk.put(key, record)
         return [resolved[key] for key in hashes]
 
 
 __all__ = [
     "SWEEP_FORMAT_VERSION",
     "CACHE_INDEX_VERSION",
+    "PLUMBING_KEYS",
+    "BoundedLRU",
     "SimSettings",
     "PolicySpec",
     "SweepJob",

@@ -10,6 +10,7 @@ paper (see docs/architecture.md, "Reproduction notes").
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -234,12 +235,30 @@ class WorkloadUnit:
     source: "dict[str, object] | None" = None
 
 
+def _integer(name: str, value: object) -> int:
+    """A workload's count or seed: an integral number (numpy ints
+    included, ``bool`` not), stored as ``int``; anything else raises
+    ``TypeError``.  So ``60`` and ``np.int64(60)`` name one workload and
+    cache key, and ``60.0`` names none."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(name: str, value: object) -> float:
+    """A workload's rate parameter, stored as ``float`` (so ``3000`` and
+    ``3000.0`` name one workload); a non-number raises ``TypeError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _paper_suite_workload(
     dfg_type: int = 1, seed: int = DEFAULT_SEED, n_graphs: int | None = None
 ) -> list[WorkloadUnit]:
-    suite = paper_suite(dfg_type, seed)
+    suite = paper_suite(dfg_type, _integer("seed", seed))
     if n_graphs is not None:
-        suite = suite[:n_graphs]
+        suite = suite[: _integer("n_graphs", n_graphs)]
     return [WorkloadUnit(dfg) for dfg in suite]
 
 
@@ -248,6 +267,9 @@ def _streaming_workload(
     seed: int = DEFAULT_SEED,
     mean_interarrival_ms: float = 3000.0,
 ) -> list[WorkloadUnit]:
+    n_kernels = _integer("n_kernels", n_kernels)
+    seed = _integer("seed", seed)
+    mean_interarrival_ms = _real("mean_interarrival_ms", mean_interarrival_ms)
     stream = streaming_scale_source(
         n_kernels, seed, mean_interarrival_ms
     ).materialize()
@@ -282,8 +304,12 @@ def _fork_join_stream_workload(
     def factory(index: int, rng: np.random.Generator) -> DFG:
         return make_fork_join_dfg(2, rng=rng, name=f"app{index}")
 
+    mean_interarrival_ms = _real("mean_interarrival_ms", mean_interarrival_ms)
     stream = GeneratorSource(
-        n_applications, factory, PoissonProfile(mean_interarrival_ms), seed
+        _integer("n_applications", n_applications),
+        factory,
+        PoissonProfile(mean_interarrival_ms),
+        _integer("seed", seed),
     ).materialize()
     dfg, arrivals = stream.merged(name=f"stream_ia{mean_interarrival_ms:g}")
     return [WorkloadUnit(dfg, arrivals=arrivals)]
@@ -294,10 +320,12 @@ def _pipeline_workload(
     stage_width: int = 4,
     seed: int = DEFAULT_SEED,
 ) -> list[WorkloadUnit]:
+    n_kernels = _integer("n_kernels", n_kernels)
+    seed = _integer("seed", seed)
     dfg = make_pipeline_dfg(
         n_kernels,
         rng=np.random.default_rng(seed),
-        stage_width=stage_width,
+        stage_width=_integer("stage_width", stage_width),
         name=f"pipeline_n{n_kernels}_s{seed}",
     )
     return [WorkloadUnit(dfg)]
@@ -336,23 +364,29 @@ def open_system_profile(profile: str = "poisson", **params: object) -> RateProfi
     open-system workload from flat, JSON-safe parameters.
 
     Unknown parameters raise ``TypeError`` — a spec typo must fail
-    loudly, not silently fall back to a default rate.
+    loudly, not silently fall back to a default rate — and so do
+    parameters of the wrong type: a burst size must be an integer, every
+    other parameter a number (stored as ``float``).
     """
     if profile == "poisson":
         out: RateProfile = PoissonProfile(
-            mean_interarrival_ms=float(params.pop("mean_interarrival_ms", 1000.0)),  # type: ignore[arg-type]
+            mean_interarrival_ms=_real(
+                "mean_interarrival_ms", params.pop("mean_interarrival_ms", 1000.0)
+            ),
         )
     elif profile == "burst":
         out = BurstProfile(
-            burst_size=int(params.pop("burst_size", 5)),  # type: ignore[arg-type]
-            within_burst_ms=float(params.pop("within_burst_ms", 50.0)),  # type: ignore[arg-type]
-            between_bursts_ms=float(params.pop("between_bursts_ms", 5000.0)),  # type: ignore[arg-type]
+            burst_size=_integer("burst_size", params.pop("burst_size", 5)),
+            within_burst_ms=_real("within_burst_ms", params.pop("within_burst_ms", 50.0)),
+            between_bursts_ms=_real(
+                "between_bursts_ms", params.pop("between_bursts_ms", 5000.0)
+            ),
         )
     elif profile == "diurnal":
         out = DiurnalProfile(
-            base_mean_ms=float(params.pop("base_mean_ms", 1000.0)),  # type: ignore[arg-type]
-            amplitude=float(params.pop("amplitude", 0.8)),  # type: ignore[arg-type]
-            period_ms=float(params.pop("period_ms", 30_000.0)),  # type: ignore[arg-type]
+            base_mean_ms=_real("base_mean_ms", params.pop("base_mean_ms", 1000.0)),
+            amplitude=_real("amplitude", params.pop("amplitude", 0.8)),
+            period_ms=_real("period_ms", params.pop("period_ms", 30_000.0)),
         )
     else:
         raise ValueError(f"unknown open-system profile {profile!r}")
@@ -398,6 +432,10 @@ def _open_system_workload(
     :func:`open_system_source` with the same parameters reproduces these
     schedules bit-for-bit.
     """
+    n_applications = _integer("n_applications", n_applications)
+    seed = _integer("seed", seed)
+    min_kernels = _integer("min_kernels", min_kernels)
+    max_kernels = _integer("max_kernels", max_kernels)
     source = open_system_source(
         n_applications,
         seed,

@@ -17,10 +17,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.checks import ALL_RULES, get_rule, load_project, run_rules
-from repro.checks.framework import Finding
+from repro.checks.framework import Finding, load_project, run_rules
 from repro.checks.gates import check_docs, check_module_sizes
-from repro.checks.rules import sweep_fingerprint, write_fingerprint
+from repro.checks.rules import ALL_RULES, get_rule, sweep_fingerprint, write_fingerprint
 from repro.checks.runner import main as run_checks_main
 
 FIXTURES = Path(__file__).parent / "checks_fixtures"

@@ -1,6 +1,9 @@
 """Tests for the command-line interface (driven through main(argv))."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,7 +11,8 @@ import pytest
 from repro.cli import main
 from repro.experiments.scenarios import available_scenarios
 
-RESULTS = Path(__file__).resolve().parents[1] / "results"
+ROOT = Path(__file__).resolve().parents[1]
+RESULTS = ROOT / "results"
 
 
 def run_cli(capsys, *argv: str) -> str:
@@ -305,3 +309,45 @@ class TestLoadSweep:
 
         with pytest.raises(ValueError, match="dynamic policies only"):
             load_sweep(policies=("heft",), rates_per_s=(1.0,), n_applications=4)
+
+
+def run_python(*argv: str) -> str:
+    """Run ``python argv...`` in a fresh process from the repository root."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestCheckCommand:
+    """Every CLI process registers the arguments of ``check``; only
+    running the checks loads the rule machinery."""
+
+    FLAGS = ("--root", "--gates", "--rules", "--format", "--update-fingerprint", "--list-rules")
+
+    def test_other_commands_leave_the_rules_unloaded(self):
+        out = run_python(
+            "-c",
+            "import sys\n"
+            "from repro.cli import main\n"
+            "main(['figure5'])\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro.checks')))",
+        )
+        assert "318.093" in out
+        assert out.splitlines()[-1] == "['repro.checks', 'repro.checks.runner']"
+
+    def test_check_help_lists_every_flag(self):
+        out = run_python("-m", "repro", "check", "--help")
+        assert out.startswith("usage: apt-sched check")
+        for flag in self.FLAGS:
+            assert flag in out
+
+    def test_run_checks_lists_the_catalog(self):
+        from repro.checks.rules import ALL_RULES
+
+        out = run_python("tools/run_checks.py", "--list-rules")
+        listed = [line.split()[0] for line in out.splitlines()]
+        assert listed == [rule.id for rule in ALL_RULES] + ["module-size", "docs-example"]

@@ -3,7 +3,6 @@
 import json
 import sys
 import threading
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from repro.experiments.scenarios import (
     run_scenario,
     run_scenarios,
 )
-from repro.experiments.sweep import PolicySpec, SweepEngine, system_to_dict
+from repro.experiments.sweep import BoundedLRU, PolicySpec, SweepEngine, system_to_dict
 from repro.experiments.workloads import WORKLOAD_KINDS, build_workload, paper_suite
 from repro.graphs.dfg import KernelSpec
 from repro.policies.registry import get_policy
@@ -264,7 +263,7 @@ class TestExpansionMemo:
 
     @pytest.fixture(autouse=True)
     def empty_memo(self, monkeypatch):
-        monkeypatch.setattr(scenarios, "_UNIT_MEMO", OrderedDict())
+        monkeypatch.setattr(scenarios, "_UNIT_MEMO", BoundedLRU(scenarios._UNIT_MEMO_KERNELS))
 
     def test_second_expansion_builds_no_graph(self, generator_calls):
         spec = paper_spec(1, MET, seed=2017, n_graphs=3)
@@ -322,10 +321,10 @@ class TestExpansionMemo:
         assert job.content_hash() == pipeline_spec(1, n_kernels=12).jobs()[0].content_hash()
 
     def test_memo_holds_at_most_its_kernel_bound(self, monkeypatch, generator_calls):
-        monkeypatch.setattr(scenarios, "_UNIT_MEMO_KERNELS", 150)
+        monkeypatch.setattr(scenarios, "_UNIT_MEMO", BoundedLRU(150))
 
         def held() -> int:
-            return sum(n for _, n in scenarios._UNIT_MEMO.values())
+            return scenarios._UNIT_MEMO.held
 
         def builds(spec: ScenarioSpec) -> int:
             generator_calls.clear()
@@ -346,7 +345,7 @@ class TestExpansionMemo:
         """Four threads churn a memo too small for their three workloads,
         switching every microsecond: every expansion hashes like a
         serial one, and the memo never exceeds its bound."""
-        monkeypatch.setattr(scenarios, "_UNIT_MEMO_KERNELS", 150)
+        monkeypatch.setattr(scenarios, "_UNIT_MEMO", BoundedLRU(150))
         specs = [pipeline_spec(seed) for seed in (11, 12, 13)]
         expected = [[job.content_hash() for job in spec.jobs()] for spec in specs]
         failures: list[Exception] = []
@@ -356,9 +355,7 @@ class TestExpansionMemo:
                 for i in range(30):
                     k = (i + offset) % len(specs)
                     assert [job.content_hash() for job in specs[k].jobs()] == expected[k]
-                    with scenarios._UNIT_MEMO_LOCK:
-                        held = sum(n for _, n in scenarios._UNIT_MEMO.values())
-                    assert held <= 150
+                    assert scenarios._UNIT_MEMO.held <= 150
             except Exception as exc:  # reported by the main thread
                 failures.append(exc)
 
@@ -374,6 +371,58 @@ class TestExpansionMemo:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
+
+
+class TestWorkloadParameterTypes:
+    """One type rule for every workload kind: a count (or seed) is an
+    integral number stored as ``int``, a mean inter-arrival time is
+    stored as ``float``, so each simulation has one cache key."""
+
+    #: every count parameter of every kind, at a small valid value
+    COUNTS = {
+        "paper_suite": {"n_graphs": 1},
+        "streaming": {"n_kernels": 40},
+        "fork_join_stream": {"n_applications": 3},
+        "pipeline": {"n_kernels": 12, "stage_width": 4},
+        "open_system": {"n_applications": 3, "min_kernels": 8, "max_kernels": 16},
+    }
+
+    @staticmethod
+    def keys(kind: str, **params: object) -> list[str]:
+        spec = flat_spec(kind, WorkloadSpec.of(kind, **params), MET)
+        return [job.content_hash() for job in spec.jobs()]
+
+    def test_rate_spellings_share_one_key(self):
+        for kind, small in (("streaming", {"n_kernels": 60}), ("fork_join_stream", {})):
+            as_int = self.keys(kind, mean_interarrival_ms=3000, **small)
+            assert self.keys(kind, mean_interarrival_ms=3000.0, **small) == as_int
+        as_int = self.keys("open_system", n_applications=3, mean_interarrival_ms=1000)
+        assert self.keys("open_system", n_applications=3, mean_interarrival_ms=1000.0) == as_int
+
+    def test_numpy_counts_are_stored_as_int(self):
+        as_numpy = self.keys("open_system", n_applications=np.int64(3), seed=np.int64(5))
+        assert as_numpy == self.keys("open_system", n_applications=3, seed=5)
+        [unit] = build_workload("open_system", n_applications=np.int64(3))
+        assert unit.dfg.name == "open_poisson_a3_s2017"
+        assert type(unit.source["n_applications"]) is int  # type: ignore[index]
+
+    def test_every_float_count_is_refused(self):
+        assert set(self.COUNTS) == set(WORKLOAD_KINDS)
+        refused = []
+        for kind, counts in self.COUNTS.items():
+            self.keys(kind, **counts)
+            for name, value in counts.items():
+                for bad in (float(value), str(value), True):
+                    with pytest.raises(TypeError, match=name):
+                        build_workload(kind, **dict(counts, **{name: bad}))
+                refused.append((kind, name))
+        assert len(refused) == 8
+        with pytest.raises(TypeError, match="burst_size"):
+            build_workload("open_system", n_applications=3, profile="burst", burst_size=6.0)
+
+    def test_a_rate_must_be_a_number(self):
+        with pytest.raises(TypeError, match="mean_interarrival_ms"):
+            build_workload("streaming", n_kernels=40, mean_interarrival_ms="3000")
 
 
 class TestOpenSystemScenarios:

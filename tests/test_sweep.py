@@ -12,6 +12,13 @@ import dataclasses
 import hashlib
 import json
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -19,10 +26,12 @@ from repro.core.dynamics import DynamicsSpec
 from repro.core.lookup import KernelNotFoundError
 from repro.core.system import CPU_GPU_FPGA, ProcessorType
 from repro.data.paper_tables import paper_lookup_table
+from repro.experiments import sweep
 from repro.experiments.runner import paper_spec
 from repro.experiments.scenarios import available_scenarios, get_scenario, run_scenarios
 from repro.experiments.sweep import (
     SWEEP_FORMAT_VERSION,
+    BoundedLRU,
     PolicySpec,
     ResultCache,
     SimSettings,
@@ -36,6 +45,8 @@ from repro.experiments.sweep import (
     system_to_dict,
 )
 from repro.graphs.dfg import DFG, KernelSpec
+from repro.graphs.serialization import dfg_to_dict
+from repro.policies.registry import available_policies
 from tests.conftest import SYNTH_SIZE, make_synthetic_lookup
 
 
@@ -638,3 +649,300 @@ class TestConcurrentCacheWriters:
         for _ in range(3):
             cache.put("k", {"v": 1})
         assert cache.stats() == {"puts": 3, "entries": 1}
+
+
+def _hammer_cache_in_batches(args):
+    """Worker: write batches of unique + shared keys into one shared cache dir."""
+    cache_dir, worker_id, n_batches, n_unique, n_shared = args
+    cache = ResultCache(cache_dir)
+    for b in range(n_batches):
+        with cache.batch():
+            for j in range(n_unique):
+                cache.put(f"w{worker_id}_b{b}_k{j}", {"worker": worker_id, "j": j})
+            for j in range(n_shared):
+                cache.put(f"shared_b{b}_k{j}", {"worker": worker_id, "shared": j})
+    return worker_id
+
+
+#: A writer that fills one cache directory with 50-entry batches until
+#: it is killed; entry ``b{b}_k{j}`` always holds :func:`_kill_record`.
+KILLED_WRITER = """
+import sys
+from repro.experiments.sweep import SWEEP_FORMAT_VERSION, ResultCache
+
+cache = ResultCache(sys.argv[1])
+print("ready", flush=True)
+b = 0
+while True:
+    with cache.batch():
+        for j in range(50):
+            key = f"b{b}_k{j}"
+            cache.put(key, {"version": SWEEP_FORMAT_VERSION, "key": key, "pad": "x" * 4096})
+    b += 1
+"""
+
+
+def _kill_record(key: str) -> dict[str, object]:
+    return {"version": SWEEP_FORMAT_VERSION, "key": key, "pad": "x" * 4096}
+
+
+class TestBatchedWriteBack:
+    def test_batch_rewrites_the_index_once(self, tmp_path, monkeypatch):
+        writes = []
+        write_index = ResultCache._write_index
+
+        def counted(cache, index):
+            writes.append(dict(index))
+            write_index(cache, index)
+
+        monkeypatch.setattr(ResultCache, "_write_index", counted)
+        cache = ResultCache(tmp_path)
+        with cache.batch():
+            for j in range(5):
+                cache.put(f"k{j}", {"v": j})
+                # each entry is in place when its put returns
+                assert cache.path_for(f"k{j}").exists()
+            cache.put("k0", {"v": 0})
+            assert writes == []
+        assert len(writes) == 1
+        assert cache.stats() == {"puts": 6, "entries": 5}
+
+    def test_stats_and_clear_inside_a_batch_do_not_block(self, tmp_path):
+        """Both take the index lock, which is not reentrant: inside a
+        batch they join it instead."""
+        cache = ResultCache(tmp_path)
+        cache.put("before", {"v": 0})
+        with cache.batch():
+            cache.put("k1", {"v": 1})
+            assert cache.stats() == {"puts": 1, "entries": 1}  # the batch is not in yet
+            assert cache.clear() == 2
+            cache.put("k2", {"v": 2})
+        assert cache.stats() == {"puts": 1, "entries": 1}
+        assert len(cache) == 1
+
+    def test_engine_writes_back_in_one_batch(self, lookup, system, tmp_path, monkeypatch):
+        writes = []
+        write_index = ResultCache._write_index
+
+        def counted(cache, index):
+            writes.append(dict(index))
+            write_index(cache, index)
+
+        monkeypatch.setattr(ResultCache, "_write_index", counted)
+        engine = SweepEngine(cache_dir=tmp_path)
+        jobs = [job_of(lookup, system, alpha=a) for a in (1.5, 2.0, 4.0)]
+        engine.run_jobs(jobs)
+        assert len(writes) == 1
+        assert engine.disk.stats() == {"puts": 3, "entries": 3}
+        # a warm batch writes nothing, and takes no lock for it
+        SweepEngine(cache_dir=tmp_path).run_jobs(jobs)
+        assert len(writes) == 1
+
+    def test_concurrent_batched_cache_writers(self, tmp_path):
+        """N processes writing overlapping batches: the index counts
+        every put and every distinct key exactly once."""
+        n_workers, n_batches, n_unique, n_shared = 4, 3, 8, 4
+        ctx = multiprocessing.get_context()
+        with ctx.Pool(n_workers) as pool:
+            pool.map(
+                _hammer_cache_in_batches,
+                [
+                    (str(tmp_path), w, n_batches, n_unique, n_shared)
+                    for w in range(n_workers)
+                ],
+            )
+        cache = ResultCache(tmp_path)
+        expected_entries = n_batches * (n_workers * n_unique + n_shared)
+        assert cache.stats() == {
+            "puts": n_workers * n_batches * (n_unique + n_shared),
+            "entries": expected_entries,
+        }
+        assert len(cache) == expected_entries
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+    def test_writer_killed_mid_batch_leaves_valid_entries(self, tmp_path):
+        """SIGKILL a batch writer at fixed delays: every entry left is a
+        valid hit equal to its record, an unwritten key is a clean miss,
+        the index parses and undercounts at worst, and a new batch in the
+        same directory completes."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        undercounted = []
+        for delay in (0.05, 0.1, 0.2, 0.3):
+            cache_dir = tmp_path / f"killed_{delay}"
+            child = subprocess.Popen(
+                [sys.executable, "-c", KILLED_WRITER, str(cache_dir)],
+                stdout=subprocess.PIPE,
+                env=env,
+            )
+            try:
+                assert child.stdout is not None
+                assert child.stdout.readline() == b"ready\n"
+                time.sleep(delay)
+            finally:
+                child.send_signal(signal.SIGKILL)
+                child.wait(timeout=30)
+                child.stdout.close()  # type: ignore[union-attr]
+            cache = ResultCache(cache_dir)
+            keys = [path.stem for path in cache_dir.glob("*.json")]
+            for key in keys:
+                assert cache.get(key) == _kill_record(key), key
+            assert cache.get("b100000_k0") is None
+            index_path = cache_dir / "index.meta"
+            if index_path.exists():
+                json.loads(index_path.read_text(encoding="utf-8"))
+            stats = cache.stats()
+            assert stats["puts"] == stats["entries"] <= len(keys)
+            undercounted.append(stats["puts"] < len(keys))
+
+            done = threading.Event()
+
+            def fresh_batch(cache=cache, done=done):
+                with cache.batch():
+                    cache.put("after", _kill_record("after"))
+                done.set()
+
+            threading.Thread(target=fresh_batch, daemon=True).start()
+            assert done.wait(30), "a new batch blocked on the killed writer's lock"
+            assert cache.stats() == {"puts": stats["puts"] + 1, "entries": stats["entries"] + 1}
+        # the kills landed inside a batch, not only between two
+        assert any(undercounted)
+
+
+def _execute_all(payloads):
+    return [execute_payload(payload) for payload in payloads]
+
+
+#: The registry as imported: tests register policies of their own later,
+#: such as one that never assigns a kernel (a fault-injected run of it
+#: would never end).
+REGISTERED_POLICIES = available_policies()
+
+
+class TestDecodeMemo:
+    """``execute_payload`` decodes each distinct DFG, lookup table and
+    system once per process, and reuses a decoded object only for an
+    equal payload section."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memos(self, monkeypatch):
+        for name in ("_DECODED_DFGS", "_DECODED_LOOKUPS", "_DECODED_SYSTEMS"):
+            monkeypatch.setattr(sweep, name, BoundedLRU(getattr(sweep, name).capacity))
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        calls: list[str] = []
+        original = sweep.dfg_from_dict
+
+        def counted(data):
+            calls.append(str(data["name"]))
+            return original(data)
+
+        monkeypatch.setattr(sweep, "dfg_from_dict", counted)
+        return calls
+
+    def test_plumbing_keys_stay_out_of_the_hash(self, lookup, system):
+        job = job_of(lookup, system)
+        payload = job.runnable_payload()
+        assert payload["dfg_digest"] == hashlib.sha256(
+            json.dumps(job.dfg, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        ).hexdigest()
+        assert payload["lookup_digest"] == job.lookup_digest
+        assert hash_payload(payload) == job.content_hash() == oracle_hash(job)
+
+    def test_each_distinct_input_decodes_once(self, decodes):
+        spec = paper_spec(1, (PolicySpec.of("apt", alpha=4.0), PolicySpec.of("met")), n_graphs=3)
+        payloads = [job.runnable_payload() for job in spec.jobs()]
+        _execute_all(payloads)
+        assert len(decodes) == 3
+        assert (sweep._DECODED_LOOKUPS.held, sweep._DECODED_SYSTEMS.held) == (1, 1)
+
+    def test_two_threads_match_a_serial_run(self, monkeypatch):
+        """The service's two inline executor slots, each running a paper
+        grid at once on shared decoded inputs, switching every
+        microsecond, return the records of a serial run — also while a
+        DFG memo too small for the grid's 154 kernels churns."""
+        policies = tuple(PolicySpec.at_alpha(n, 4.0) for n in ("apt", "met", "heft", "ss"))
+        payloads = [job.runnable_payload() for job in paper_spec(2, policies, n_graphs=3).jobs()]
+        serial = _execute_all(payloads)
+        monkeypatch.setattr(sweep, "_DECODED_DFGS", BoundedLRU(100))
+        outputs: dict[int, list] = {}
+        failures: list[BaseException] = []
+
+        def run(slot: int) -> None:
+            try:
+                order = payloads if slot == 0 else payloads[::-1]
+                records = _execute_all(order)
+                outputs[slot] = records if slot == 0 else records[::-1]
+            except BaseException as exc:  # reported by the main thread
+                failures.append(exc)
+
+        threads = [threading.Thread(target=run, args=(slot,)) for slot in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert outputs[0] == serial
+        assert outputs[1] == serial
+        assert sweep._DECODED_DFGS.held <= 100
+
+    def test_missing_or_wrong_digest_decodes_afresh(self, lookup, system, decodes):
+        a = job_of(lookup, system, name="a").runnable_payload()
+        b = job_of(lookup, system, name="b").runnable_payload()
+        expected_a, expected_b = _execute_all([a, b])
+        assert decodes == ["a", "b"]
+        # a payload whose digest names another DFG
+        wrong = dict(a, dfg_digest=b["dfg_digest"])
+        assert execute_payload(wrong) == expected_a
+        # a payload without the digest keys
+        bare = {k: v for k, v in a.items() if k not in ("dfg_digest", "lookup_digest")}
+        assert execute_payload(bare) == expected_a
+        assert execute_payload(b) == expected_b
+        assert decodes == ["a", "b", "a", "a", "b"]
+
+    def test_kernel_bound_evicts_the_least_recently_used(
+        self, lookup, system, decodes, monkeypatch
+    ):
+        monkeypatch.setattr(sweep, "_DECODED_DFGS", BoundedLRU(8))  # two diamonds
+        payloads = {
+            name: job_of(lookup, system, name=name).runnable_payload() for name in "abc"
+        }
+        for name in "abacab":
+            execute_payload(payloads[name])
+        # c evicts b (least recently used), then b evicts c
+        assert decodes == ["a", "b", "c", "b"]
+        assert sweep._DECODED_DFGS.held == 8
+
+    def test_memoized_inputs_are_left_unchanged(self):
+        """Every registered policy, on a contended bus under fault
+        injection, runs on one decoded DFG, table and system; none of
+        them changes."""
+        base = get_scenario("faulty_edge_cluster")
+        assert base.dynamics and base.system["topology"]["contention"]
+        spec = dataclasses.replace(
+            base, policies=tuple(PolicySpec.at_alpha(n, 4.0) for n in REGISTERED_POLICIES)
+        )
+        jobs = spec.jobs()
+        payload = jobs[0].runnable_payload()
+        _execute_all([job.runnable_payload() for job in jobs])
+        _, dfg = sweep._DECODED_DFGS.get(payload["dfg_digest"])
+        _, table = sweep._DECODED_LOOKUPS.get(payload["lookup_digest"])
+        [(_, system)] = [sweep._DECODED_SYSTEMS.get(sweep._canonical(payload["system"]))]
+        assert dfg_to_dict(dfg) == jobs[0].dfg
+        assert table.to_records() == jobs[0].lookup
+        assert system_to_dict(system) == jobs[0].system
+
+
+class TestBoundedLRU:
+    def test_replacing_a_key_reweighs_it(self):
+        memo = BoundedLRU(10)
+        memo.put("a", "A", 4)
+        memo.put("a", "A2", 6)
+        assert (memo.get("a"), memo.held) == ("A2", 6)
