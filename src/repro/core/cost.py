@@ -220,29 +220,5 @@ class CostModel:
             self._avg_comm_memo[data_size] = cached
         return cached
 
-    # ------------------------------------------------------------------
-    @classmethod
-    def ensure(
-        cls,
-        system: SystemConfig,
-        lookup: "LookupTable | CostModel",
-    ) -> "CostModel":
-        """Normalize a LookupTable-or-CostModel argument to a CostModel.
-
-        Lets utilities like :func:`~repro.policies.heft.upward_rank` keep
-        accepting a bare lookup table (transfers at face value) while the
-        simulator passes its fully-configured model.  A passed model must
-        be built over the same ``system`` — silently answering for a
-        different platform would be a miscomputation, not a convenience.
-        """
-        if isinstance(lookup, CostModel):
-            if lookup.system is not system:
-                raise ValueError(
-                    "CostModel was built over a different SystemConfig than "
-                    "the one passed alongside it"
-                )
-            return lookup
-        return cls(system, lookup)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CostModel(transfers_enabled={self.transfers_enabled})"

@@ -51,7 +51,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Deque, Iterator, Mapping, Sequence
 
-from repro.core.events import Event, EventKind, EventQueue
+from repro.core.events import NO_PROGRESS_KINDS, Event, EventKind, EventQueue
 from repro.core.schedule import ScheduleEntry
 from repro.policies.base import (
     Assignment,
@@ -727,14 +727,21 @@ class EngineCore:
         handlers = self._handlers
         observe_hooks = self._observe_hooks
         complete = EventKind.KERNEL_COMPLETE
+        # without a fault layer no FAULT is ever pending: skip the scan
+        stalls = not NO_PROGRESS_KINDS.isdisjoint(handlers)
         while self.n_completed < self.n_admitted or self.more_arrivals:
             self._fixpoint()
 
-            if not events:
+            if not events or (stalls and events.only(NO_PROGRESS_KINDS)):
+                pending = (
+                    "only processor faults pending, none of which can make progress"
+                    if events
+                    else "no events pending"
+                )
                 raise SchedulingError(
                     f"{self.policy.name}: deadlock at t={self.now} — "
                     f"{self.n_admitted - self.n_completed} kernels unfinished, "
-                    f"no events pending (ready={list(self.ready)})"
+                    f"{pending} (ready={list(self.ready)})"
                 )
 
             batch = events.pop_simultaneous()

@@ -63,6 +63,12 @@ class EventKind(Enum):
 #: order still breaks ties.
 _ARRIVAL_RANK = {EventKind.KERNEL_READY: 0, EventKind.APP_ARRIVAL: 0}
 
+#: Kinds that cannot make progress by themselves.  The fault layer keeps
+#: a FAULT or REPAIR pending per processor for ever; when only FAULTs are
+#: pending, nothing runs, nothing is queued, no processor is down or
+#: penalized and no arrival is due, so the run is deadlocked.
+NO_PROGRESS_KINDS = frozenset({EventKind.FAULT})
+
 
 @dataclass(frozen=True)
 class Event:
@@ -130,6 +136,10 @@ class EventQueue:
         while self._heap and self._heap[0][0] == first.time:
             events.append(self.pop())
         return events
+
+    def only(self, kinds: frozenset[EventKind]) -> bool:
+        """Whether every pending event's kind is in ``kinds`` (true when empty)."""
+        return all(entry[-1].kind in kinds for entry in self._heap)
 
     def __len__(self) -> int:
         return len(self._heap)

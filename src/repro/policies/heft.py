@@ -16,20 +16,23 @@ A static list scheduler in two phases (§2.5.3, eqs. (3)–(5)):
    into an idle gap between two already-scheduled kernels when the gap can
    accommodate it.
 
-All costs come from a :class:`~repro.core.cost.CostModel`, so a
-transfers-disabled run plans with zero communication — the same zero the
-simulator will charge.  The module also exposes :func:`upward_rank` /
-:func:`downward_rank` (eq. (5)) as standalone utilities; they accept
-either a bare lookup table or a cost model.
+Phase 2 is :func:`list_schedule`, the one insertion-based EFT list
+scheduler that PEFT and CPOP plan through too, each with its own kernel
+priority, candidate processors and placement score.  All costs come from
+the run's :class:`~repro.core.cost.CostModel`, so a transfers-disabled
+run plans with zero communication — the same zero the simulator will
+charge.  The module also exposes :func:`upward_rank` /
+:func:`downward_rank` (eq. (5)) as standalone utilities.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from typing import Callable, Iterable, Mapping
 
 from repro.core.cost import CostModel
-from repro.core.lookup import LookupTable
-from repro.core.system import SystemConfig
+from repro.core.system import Processor
 from repro.graphs.dfg import DFG
 from repro.policies.base import StaticPlan, StaticPolicy
 
@@ -58,13 +61,8 @@ def _avg_comm(dfg: DFG, cost: CostModel, dst_kid: int) -> float:
     return cost.avg_comm(dfg.spec(dst_kid).data_size)
 
 
-def upward_rank(
-    dfg: DFG,
-    system: SystemConfig,
-    lookup: LookupTable | CostModel,
-) -> dict[int, float]:
+def upward_rank(dfg: DFG, cost: CostModel) -> dict[int, float]:
     """``rank_u`` for every kernel (eq. (3)); exit kernels get w̄ (eq. (4))."""
-    cost = CostModel.ensure(system, lookup)
     ranks: dict[int, float] = {}
     for kid in reversed(dfg.topological_order()):
         w = _avg_exec(dfg, cost, kid)
@@ -76,13 +74,8 @@ def upward_rank(
     return ranks
 
 
-def downward_rank(
-    dfg: DFG,
-    system: SystemConfig,
-    lookup: LookupTable | CostModel,
-) -> dict[int, float]:
+def downward_rank(dfg: DFG, cost: CostModel) -> dict[int, float]:
     """``rank_d`` for every kernel (eq. (5)); entry kernels get 0."""
-    cost = CostModel.ensure(system, lookup)
     ranks: dict[int, float] = {}
     for kid in dfg.topological_order():
         preds = dfg.predecessors(kid)
@@ -116,51 +109,79 @@ def find_insertion_start(slots: list[_Slot], est: float, duration: float) -> flo
     return max(est, ordered[-1].finish)
 
 
+def list_schedule(
+    dfg: DFG,
+    cost: CostModel,
+    priority: Mapping[int, float],
+    candidates: Callable[[int], Iterable[Processor]],
+    score: Callable[[int, str, float], float],
+) -> StaticPlan:
+    """Insertion-based earliest-finish-time list scheduling.
+
+    Kernels are planned in ready-list order: the highest ``priority``
+    (ties: lowest id) among kernels whose predecessors are all planned.
+    On each of ``candidates(kid)`` the kernel starts at the first idle
+    gap (:func:`find_insertion_start`) after every predecessor's planned
+    finish plus its transfer; it goes to the candidate with the lowest
+    ``score(kid, processor name, EFT)``, a later candidate winning only
+    by more than 1e-12.  Dispatch priority follows the planned start
+    (ties: higher ``priority``, then lower id).
+    """
+    slots: dict[str, list[_Slot]] = {p.name: [] for p in cost.system}
+    proc_of: dict[int, str] = {}
+    start: dict[int, float] = {}
+    finish: dict[int, float] = {}
+
+    pending = {k: len(dfg.predecessors(k)) for k in dfg.kernel_ids()}
+    ready = [(-priority[k], k) for k, n in pending.items() if n == 0]
+    heapq.heapify(ready)
+    while ready:
+        _, kid = heapq.heappop(ready)
+        spec = dfg.spec(kid)
+        nbytes = cost.data_bytes(spec.data_size)
+        preds = dfg.predecessors(kid)
+        best: tuple[float, float, float, str] | None = None  # (score, eft, s, proc)
+        for proc in candidates(kid):
+            est = 0.0
+            for pred in preds:
+                comm = cost.transfer_time_ms(proc_of[pred], proc.name, nbytes)
+                est = max(est, finish[pred] + comm)
+            w = cost.exec_time(spec.kernel, spec.data_size, proc.ptype)
+            s = find_insertion_start(slots[proc.name], est, w)
+            eft = s + w
+            value = score(kid, proc.name, eft)
+            if best is None or value < best[0] - 1e-12:
+                best = (value, eft, s, proc.name)
+        assert best is not None
+        _, eft, s, pname = best
+        proc_of[kid] = pname
+        start[kid] = s
+        finish[kid] = eft
+        slots[pname].append(_Slot(s, eft))
+        for succ in dfg.successors(kid):
+            pending[succ] -= 1
+            if pending[succ] == 0:
+                heapq.heappush(ready, (-priority[succ], succ))
+
+    order = sorted(dfg.kernel_ids(), key=lambda k: (start[k], -priority[k], k))
+    return StaticPlan(
+        processor_of=proc_of,
+        priority={kid: i for i, kid in enumerate(order)},
+        planned_start=start,
+        planned_finish=finish,
+    )
+
+
 class HEFT(StaticPolicy):
     """Heterogeneous Earliest Finish Time."""
 
     name = "heft"
 
     def plan(self, dfg: DFG, cost: CostModel) -> StaticPlan:
-        system = cost.system
-        ranks = upward_rank(dfg, system, cost)
-        order = sorted(dfg.kernel_ids(), key=lambda k: (-ranks[k], k))
-
-        proc_slots: dict[str, list[_Slot]] = {p.name: [] for p in system}
-        proc_of: dict[int, str] = {}
-        start: dict[int, float] = {}
-        finish: dict[int, float] = {}
-
-        for kid in order:
-            spec = dfg.spec(kid)
-            nbytes = cost.data_bytes(spec.data_size)
-            best: tuple[float, float, str] | None = None  # (eft, est, proc)
-            for proc in system:
-                est = 0.0
-                for pred in dfg.predecessors(kid):
-                    comm = cost.transfer_time_ms(proc_of[pred], proc.name, nbytes)
-                    est = max(est, finish[pred] + comm)
-                w = cost.exec_time(spec.kernel, spec.data_size, proc.ptype)
-                s = find_insertion_start(proc_slots[proc.name], est, w)
-                eft = s + w
-                if best is None or eft < best[0] - 1e-12:
-                    best = (eft, s, proc.name)
-            assert best is not None
-            eft, s, pname = best
-            proc_of[kid] = pname
-            start[kid] = s
-            finish[kid] = eft
-            proc_slots[pname].append(_Slot(s, eft))
-
-        priority = {
-            kid: i
-            for i, kid in enumerate(
-                sorted(dfg.kernel_ids(), key=lambda k: (start[k], -ranks[k], k))
-            )
-        }
-        return StaticPlan(
-            processor_of=proc_of,
-            priority=priority,
-            planned_start=start,
-            planned_finish=finish,
+        return list_schedule(
+            dfg,
+            cost,
+            upward_rank(dfg, cost),
+            lambda kid: cost.system.processors,
+            lambda kid, proc, eft: eft,
         )

@@ -10,33 +10,19 @@ the inefficiency APT's threshold removes.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.policies.base import Assignment, DynamicPolicy, SchedulingContext
 
 
 class MET(DynamicPolicy):
     """Minimum Execution Time.
 
-    Parameters
-    ----------
-    rng:
-        Braun et al. pick kernels "in a random order from I"; pass a seeded
-        :class:`numpy.random.Generator` for that behaviour.  The default
-        (``None``) visits the ready queue first-come-first-serve, which is
-        deterministic and — because MET only ever waits for one specific
-        processor per kernel — produces the same schedules.
+    Braun et al. pick kernels "in a random order from I"; this MET visits
+    the ready queue first-come-first-serve (the paper's queue discipline,
+    §3.1), so every schedule is deterministic.
     """
 
     name = "met"
-
-    def __init__(self, rng: np.random.Generator | None = None) -> None:
-        self.rng = rng
-        # A seeded MET draws a permutation on *every* invocation, so its
-        # answers are not a pure function of the context — opt out of the
-        # simulator's skip-when-unchanged guard to keep the RNG stream
-        # aligned with an always-reinvoking engine.
-        self.time_sensitive = rng is not None
+    time_sensitive = False
 
     def select(self, ctx: SchedulingContext) -> list[Assignment]:
         out: list[Assignment] = []
@@ -45,10 +31,7 @@ class MET(DynamicPolicy):
         avail: dict[str, None] = {
             p.name: None for p in ctx.system if ctx.views[p.name].idle
         }
-        order = list(ctx.ready)
-        if self.rng is not None:
-            order = [order[i] for i in self.rng.permutation(len(order))]
-        for kid in order:
+        for kid in ctx.ready:
             if not avail:
                 # MET only ever targets a kernel's best category; with no
                 # processor available nothing further can be assigned.

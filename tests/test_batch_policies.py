@@ -1,5 +1,6 @@
 """Behavioural tests for Min-Min, Max-Min, Sufferage and CPOP."""
 
+from repro.core.cost import CostModel
 from repro.policies.batch_mode import MaxMin, MinMin, Sufferage
 from repro.policies.cpop import CPOP, critical_path_kernels
 from repro.policies.met import MET
@@ -73,7 +74,7 @@ class TestSufferage:
 class TestCPOP:
     def test_critical_path_on_chain_is_whole_chain(self, system, synth_lookup):
         dfg = dfg_of("fast_cpu", "fast_cpu", "fast_cpu", deps=[(0, 1), (1, 2)])
-        assert critical_path_kernels(dfg, system, synth_lookup) == [0, 1, 2]
+        assert critical_path_kernels(dfg, CostModel(system, synth_lookup)) == [0, 1, 2]
 
     def test_critical_path_kernels_share_one_processor(
         self, synth_sim, system, synth_lookup
@@ -82,7 +83,7 @@ class TestCPOP:
             "fast_cpu", "fast_cpu", "fast_gpu", "fast_cpu",
             deps=[(0, 1), (0, 2), (1, 3), (2, 3)],
         )
-        cp = critical_path_kernels(dfg, system, synth_lookup)
+        cp = critical_path_kernels(dfg, CostModel(system, synth_lookup))
         result = synth_sim.run(dfg, CPOP())
         procs = {result.schedule[k].processor for k in cp}
         assert len(procs) == 1

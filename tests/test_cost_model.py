@@ -109,11 +109,6 @@ class TestCostModel:
         # a same-processor predecessor is free: only gpu0's 1 ms remains
         assert cost.inbound_transfer(dfg, 2, "cpu0", placed) == pytest.approx(1.0)
 
-    def test_ensure_passes_cost_model_through(self, system, synth_lookup, cost):
-        assert CostModel.ensure(system, cost) is cost
-        built = CostModel.ensure(system, synth_lookup)
-        assert isinstance(built, CostModel) and built.transfers_enabled
-
     def test_avg_comm_matches_manual_average(self, cost, system):
         nbytes = SYNTH_SIZE * 4
         procs = system.processors

@@ -10,6 +10,12 @@ cache key, cross-process determinism, result columns).
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -240,6 +246,51 @@ class TestFaultDynamics:
         )
         with pytest.raises(ValueError, match="unknown processor"):
             Simulator(system, lookup, dynamics=[spec]).run(dfg, get_policy("apt"))
+
+    def test_declining_policy_deadlocks_under_faults(self):
+        # The fault layer always keeps a FAULT or REPAIR pending, so a
+        # policy that declines every ready kernel must still end in the
+        # deadlock error.  A subprocess makes a regression time out
+        # instead of hanging the suite.
+        code = textwrap.dedent(
+            """
+            from repro.core.engine import SchedulingError
+            from repro.core.simulator import Simulator
+            from repro.data.paper_tables import paper_lookup_table
+            from repro.experiments.scenarios import get_scenario
+            from repro.policies.base import DynamicPolicy
+
+            class Decline(DynamicPolicy):
+                name = "decline"
+
+                def select(self, ctx):
+                    return []
+
+            scenario = get_scenario("faulty_edge_cluster")
+            (unit,) = scenario.workload.build()
+            sim = Simulator(
+                scenario.build_system(), paper_lookup_table(),
+                dynamics=scenario.dynamics,
+            )
+            try:
+                sim.run(unit.dfg, Decline())
+            except SchedulingError as exc:
+                print(exc)
+            """
+        )
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=root,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "decline: deadlock at t=0.0 — 60 kernels unfinished" in proc.stdout
+        assert "only processor faults pending" in proc.stdout
 
 
 # ----------------------------------------------------------------------

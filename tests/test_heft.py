@@ -32,28 +32,33 @@ def chain_dfg():
     return dfg_of("fast_cpu", "fast_gpu", deps=[(0, 1)])
 
 
+@pytest.fixture
+def cost(system, synth_lookup):
+    return CostModel(system, synth_lookup)
+
+
 class TestRanks:
-    def test_upward_rank_exit_is_mean_exec(self, chain_dfg, system, synth_lookup):
-        ranks = upward_rank(chain_dfg, system, synth_lookup)
+    def test_upward_rank_exit_is_mean_exec(self, chain_dfg, cost):
+        ranks = upward_rank(chain_dfg, cost)
         assert ranks[1] == pytest.approx(WBAR)
 
-    def test_upward_rank_recurrence(self, chain_dfg, system, synth_lookup):
-        ranks = upward_rank(chain_dfg, system, synth_lookup)
+    def test_upward_rank_recurrence(self, chain_dfg, cost):
+        ranks = upward_rank(chain_dfg, cost)
         assert ranks[0] == pytest.approx(WBAR + CBAR + WBAR)
 
-    def test_downward_rank_entry_is_zero(self, chain_dfg, system, synth_lookup):
-        ranks = downward_rank(chain_dfg, system, synth_lookup)
+    def test_downward_rank_entry_is_zero(self, chain_dfg, cost):
+        ranks = downward_rank(chain_dfg, cost)
         assert ranks[0] == 0.0
 
-    def test_downward_rank_recurrence(self, chain_dfg, system, synth_lookup):
-        ranks = downward_rank(chain_dfg, system, synth_lookup)
+    def test_downward_rank_recurrence(self, chain_dfg, cost):
+        ranks = downward_rank(chain_dfg, cost)
         assert ranks[1] == pytest.approx(WBAR + CBAR)
 
-    def test_upward_rank_decreases_along_paths(self, system, synth_lookup, rng):
+    def test_upward_rank_decreases_along_paths(self, cost, rng):
         from repro.graphs.generators import make_type2_dfg
 
         dfg = make_type2_dfg(20, rng=rng, population=make_synth_population())
-        ranks = upward_rank(dfg, system, synth_lookup)
+        ranks = upward_rank(dfg, cost)
         for u, v in dfg.edges():
             assert ranks[u] > ranks[v]
 
@@ -81,6 +86,14 @@ class TestInsertion:
     def test_after_last_slot(self):
         slots = [_Slot(0.0, 50.0)]
         assert find_insertion_start(slots, est=0.0, duration=10.0) == 50.0
+
+    def test_gaps_tolerate_only_1e_12(self):
+        before = [_Slot(10.0, 20.0)]
+        assert find_insertion_start(before, est=0.0, duration=10.0 + 1e-13) == 0.0
+        assert find_insertion_start(before, est=0.0, duration=10.0 + 1e-9) == 20.0
+        between = [_Slot(0.0, 10.0), _Slot(20.0, 30.0)]
+        assert find_insertion_start(between, est=0.0, duration=10.0 + 1e-13) == 10.0
+        assert find_insertion_start(between, est=0.0, duration=10.0 + 1e-9) == 30.0
 
 
 class TestPlanning:

@@ -26,28 +26,33 @@ def chain_dfg():
     return dfg_of("fast_cpu", "fast_gpu", deps=[(0, 1)])
 
 
+@pytest.fixture
+def cost(system, synth_lookup):
+    return CostModel(system, synth_lookup)
+
+
 class TestOCT:
-    def test_exit_row_is_zero(self, chain_dfg, system, synth_lookup):
-        oct_ = optimistic_cost_table(chain_dfg, system, synth_lookup)
+    def test_exit_row_is_zero(self, chain_dfg, cost):
+        oct_ = optimistic_cost_table(chain_dfg, cost)
         assert all(v == 0.0 for v in oct_[1].values())
 
-    def test_hand_computed_entry_row(self, chain_dfg, system, synth_lookup):
-        oct_ = optimistic_cost_table(chain_dfg, system, synth_lookup)
+    def test_hand_computed_entry_row(self, chain_dfg, cost):
+        oct_ = optimistic_cost_table(chain_dfg, cost)
         assert oct_[0]["cpu0"] == pytest.approx(10 + CBAR)
         assert oct_[0]["gpu0"] == pytest.approx(10.0)
         assert oct_[0]["fpga0"] == pytest.approx(10 + CBAR)
 
-    def test_rank_oct_is_row_average(self, chain_dfg, system, synth_lookup):
-        oct_ = optimistic_cost_table(chain_dfg, system, synth_lookup)
+    def test_rank_oct_is_row_average(self, chain_dfg, cost):
+        oct_ = optimistic_cost_table(chain_dfg, cost)
         ranks = rank_oct(oct_)
         assert ranks[0] == pytest.approx((10 + CBAR + 10 + 10 + CBAR) / 3)
         assert ranks[1] == 0.0
 
-    def test_oct_nonnegative_everywhere(self, system, synth_lookup, rng):
+    def test_oct_nonnegative_everywhere(self, cost, rng):
         from repro.graphs.generators import make_type2_dfg
 
         dfg = make_type2_dfg(25, rng=rng, population=make_synth_population())
-        oct_ = optimistic_cost_table(dfg, system, synth_lookup)
+        oct_ = optimistic_cost_table(dfg, cost)
         assert all(v >= 0.0 for row in oct_.values() for v in row.values())
 
 

@@ -4,7 +4,8 @@ Strategy summary: random workloads are layered DAGs over the synthetic
 kernel population; random policies span the dynamic + static registry.
 Every generated (workload, policy) pair must produce a schedule that is
 feasible, complete, deterministic and bounded below by the graph-theoretic
-makespan bounds.
+makespan bounds.  The static list schedulers' plans are checked on their
+own, over multi-instance systems with transfers on and off.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.cost import CostModel
 from repro.core.events import Event, EventKind, EventQueue
 from repro.core.lookup import LookupEntry, LookupTable
 from repro.core.metrics import LambdaStats
@@ -24,6 +26,7 @@ from repro.graphs.generators import KernelPopulation, make_layered_dfg
 from repro.graphs.serialization import dfg_from_dict, dfg_to_dict
 from repro.kernels.nw import NeedlemanWunschKernel, nw_score_matrix_reference
 from repro.policies.apt import APT
+from repro.policies.cpop import CPOP, critical_path_kernels
 from repro.policies.met import MET
 from repro.policies.registry import get_policy
 from tests.conftest import SYNTH_SIZE, make_synthetic_lookup, make_synth_population
@@ -37,6 +40,7 @@ TIE_FREE_POPULATION = KernelPopulation(
 )
 
 POLICY_NAMES = ("apt", "apt_rt", "met", "spn", "ss", "ag", "olb", "heft", "peft")
+STATIC_NAMES = ("heft", "peft", "cpop")
 
 
 @st.composite
@@ -48,6 +52,17 @@ def random_dfg(draw, population=POPULATION) -> DFG:
     return make_layered_dfg(
         n, n_layers, rng=np.random.default_rng(seed),
         population=population, edge_probability=prob,
+    )
+
+
+@st.composite
+def random_cost(draw) -> CostModel:
+    """0–2 CPUs, GPUs and FPGAs (at least one processor) on uniform links,
+    with transfers on or off."""
+    counts = draw(st.tuples(*(st.integers(min_value=0, max_value=2),) * 3).filter(any))
+    rate = draw(st.sampled_from((1.0, 4.0, 16.0)))
+    return CostModel(
+        CPU_GPU_FPGA(rate, *counts), LOOKUP, transfers_enabled=draw(st.booleans())
     )
 
 
@@ -95,6 +110,51 @@ class TestScheduleFeasibility:
         assert [(e.kernel_id, e.processor) for e in a.schedule] == [
             (e.kernel_id, e.processor) for e in b.schedule
         ]
+
+
+class TestStaticPlanProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dfg=random_dfg(),
+        cost=random_cost(),
+        policy_name=st.sampled_from(STATIC_NAMES),
+    )
+    def test_planned_times_are_consistent(self, dfg, cost, policy_name):
+        plan = get_policy(policy_name).plan(dfg, cost)
+        system = cost.system
+        kernels = set(dfg.kernel_ids())
+        assert set(plan.processor_of) == kernels
+        assert set(plan.planned_start) == set(plan.planned_finish) == kernels
+        assert all(proc in system for proc in plan.processor_of.values())
+        on: dict[str, list[tuple[float, float]]] = {}
+        for k in kernels:
+            spec = dfg.spec(k)
+            proc = plan.processor_of[k]
+            start, finish = plan.planned_start[k], plan.planned_finish[k]
+            # the planner's own float operation, so the check is exact
+            w = cost.exec_time(spec.kernel, spec.data_size, system[proc].ptype)
+            assert finish == start + w
+            nbytes = cost.data_bytes(spec.data_size)
+            for pred in dfg.predecessors(k):
+                comm = cost.transfer_time_ms(plan.processor_of[pred], proc, nbytes)
+                assert start >= plan.planned_finish[pred] + comm
+            on.setdefault(proc, []).append((start, finish))
+        for intervals in on.values():
+            intervals.sort()
+            # overlap at most the insertion tolerance
+            for (_, finish), (start, _) in zip(intervals, intervals[1:]):
+                assert finish <= start + 1e-12
+        by_priority = sorted(kernels, key=plan.priority.__getitem__)
+        starts = [plan.planned_start[k] for k in by_priority]
+        assert starts == sorted(starts)
+
+    @settings(max_examples=30, deadline=None)
+    @given(dfg=random_dfg(), cost=random_cost())
+    def test_cpop_critical_path_shares_one_processor(self, dfg, cost):
+        plan = CPOP().plan(dfg, cost)
+        cp = critical_path_kernels(dfg, cost)
+        assert cp
+        assert len({plan.processor_of[k] for k in cp}) == 1
 
 
 class TestAPTLaws:
