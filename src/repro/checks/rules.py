@@ -341,16 +341,20 @@ class OrderedIterationRule(Rule):
 # 4. event-kind-exhaustive
 # ----------------------------------------------------------------------
 class EventKindExhaustiveRule(Rule):
-    """Every ``EventKind`` member must have exactly one handler.
+    """Every ``EventKind`` member must have a handler.
 
-    A member is *handled* when it appears in some dynamics layer's
-    ``handles`` tuple, is referenced by an engine-core module (the
-    ``KERNEL_COMPLETE`` hot path), or is named in a module-level
-    ``EVENT_KIND_PASS_THROUGH`` tuple (the explicit opt-out).  An
-    unhandled kind would sit in the queue forever — the engine would
-    raise ``KeyError`` at dispatch, but only on the first workload that
-    emits it.  The rule also rejects references to nonexistent members
-    (``EventKind.KERNEL_FINSH``), which otherwise die equally late.
+    A member is *handled* only when it appears in some class's
+    ``handles`` tuple — a dynamics layer's, or the engine core's own
+    (``EngineCore.handles``, the ``KERNEL_COMPLETE`` hot path) — or is
+    named in a module-level ``EVENT_KIND_PASS_THROUGH`` tuple (the
+    explicit opt-out).  Any other reference (a comparison, a deadlock
+    test) does not count, so it cannot hide a layer that stops handling
+    a kind.  An unhandled kind would sit in the queue forever — the
+    engine would raise ``KeyError`` at dispatch, but only on the first
+    workload that emits it.  ``EngineCore.add_layer`` refuses a second
+    claim on a kind at run time.  The rule also rejects references to
+    nonexistent members (``EventKind.KERNEL_FINSH``), which otherwise
+    die equally late.
     """
 
     id = "event-kind-exhaustive"
@@ -377,14 +381,6 @@ class EventKindExhaustiveRule(Rule):
         pass_through: set[str] = set()
         references: list[tuple[Module, ast.Attribute]] = []
         for module in project:
-            is_engine_core = any(
-                isinstance(node, ast.ClassDef)
-                and (
-                    node.name.endswith("EngineCore")
-                    or any(b.endswith("EngineCore") for b in _base_names(node))
-                )
-                for node in ast.walk(module.tree)
-            )
             for node in ast.walk(module.tree):
                 if (
                     isinstance(node, ast.Attribute)
@@ -393,8 +389,6 @@ class EventKindExhaustiveRule(Rule):
                     and node.attr.isupper()
                 ):
                     references.append((module, node))
-                    if is_engine_core:
-                        handled.add(node.attr)
                 if isinstance(node, ast.ClassDef):
                     for stmt in node.body:
                         if (
@@ -426,9 +420,9 @@ class EventKindExhaustiveRule(Rule):
                 yield enum_module.finding(
                     self,
                     lineno,
-                    f"EventKind.{name} has no handler: not in any dynamics "
-                    f"layer's `handles`, not referenced by an engine core, "
-                    f"and not declared in EVENT_KIND_PASS_THROUGH",
+                    f"EventKind.{name} has no handler: not in any `handles` "
+                    f"tuple (a dynamics layer's or the engine core's), and "
+                    f"not declared in EVENT_KIND_PASS_THROUGH",
                 )
 
     @staticmethod

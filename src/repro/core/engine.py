@@ -14,8 +14,8 @@ core through a narrow hook protocol:
 ``on_event(ev)``
     Called for each popped event whose ``kind`` appears in the layer's
     ``handles`` tuple.  ``KERNEL_COMPLETE`` is the one kind the core
-    handles itself (it is the hot path); every other kind is routed to
-    exactly one layer.
+    handles itself (``EngineCore.handles``: it is the hot path, and no
+    layer may claim it); every other kind is routed to exactly one layer.
 ``on_admit(app_index, arrival_ms, app_dfg, id_map)``
     An application's kernels entered the engine's tables (streaming
     admission fan-out to the retirement / service-metric layers).
@@ -301,6 +301,9 @@ class EngineCore:
     the core owns their lifecycle within the loop.
     """
 
+    #: event kinds :meth:`run_loop` handles itself; no layer may claim them.
+    handles = (EventKind.KERNEL_COMPLETE,)
+
     def __init__(
         self,
         system: "SystemConfig",
@@ -351,6 +354,7 @@ class EngineCore:
         self.views: dict[str, ProcessorView] = {}
         self.state_version = 0
         self.time_sensitive = bool(getattr(driver, "time_sensitive", True))
+        self.settles = bool(getattr(driver, "settles", False))
         self._last_empty: tuple[int, float | None] | None = None
 
         # layer wiring
@@ -386,10 +390,9 @@ class EngineCore:
         self._layers.append(layer)
         layer.bind(self)
         for kind in layer.handles:
-            if kind in self._handlers:
-                raise ValueError(
-                    f"event kind {kind} already handled by another layer"
-                )
+            if kind in self._handlers or kind in self.handles:
+                owner = "the engine core" if kind in self.handles else "another layer"
+                raise ValueError(f"event kind {kind} already handled by {owner}")
             self._handlers[kind] = layer.on_event
         cls = type(layer)
         for hook in _HOOK_NAMES:
@@ -537,9 +540,8 @@ class EngineCore:
             self.record_entry(entry)
         for h in self._start_hooks:
             h(kid, name)
-        self.events.push(
-            Event(finish, EventKind.KERNEL_COMPLETE, payload=(kid, name, token))
-        )
+        # positional, like the view and entry: a keyword doubles the cost
+        self.events.push(Event(finish, EventKind.KERNEL_COMPLETE, (kid, name, token)))
         return True
 
     def record_entry(self, entry: ScheduleEntry) -> None:
@@ -660,7 +662,11 @@ class EngineCore:
     # the loop
     # ------------------------------------------------------------------
     def _fixpoint(self) -> None:
-        """Assignment fixpoint at the current instant."""
+        """Assignment fixpoint at the current instant.
+
+        A settling driver is asked once per state: re-asked after its
+        applied answer, it would return nothing, so that empty answer's
+        signature is recorded instead."""
         select = self.driver.select
         ready = self.ready
         time_sensitive = self.time_sensitive
@@ -676,6 +682,9 @@ class EngineCore:
             else:
                 assignments = []
             if not self.apply_assignments(assignments):
+                return
+            if self.settles:
+                self._last_empty = (self.state_version, self.now if time_sensitive else None)
                 return
         raise SchedulingError(  # pragma: no cover - defensive
             f"{self.policy.name}: assignment loop did not converge at t={self.now}"

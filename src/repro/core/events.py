@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
 from enum import Enum
-from typing import Any
+from typing import Any, NamedTuple
 
 
 class EventKind(Enum):
@@ -70,20 +69,30 @@ _ARRIVAL_RANK = {EventKind.KERNEL_READY: 0, EventKind.APP_ARRIVAL: 0}
 NO_PROGRESS_KINDS = frozenset({EventKind.FAULT})
 
 
-@dataclass(frozen=True)
-class Event:
-    """A timestamped simulation event.
-
-    ``payload`` carries event-specific data (kernel id, processor name).
-    """
-
+class _EventFields(NamedTuple):
     time: float
     kind: EventKind
     payload: Any = None
 
-    def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError(f"event time must be non-negative, got {self.time}")
+
+class Event(_EventFields):
+    """A timestamped simulation event.
+
+    ``payload`` carries event-specific data (kernel id, processor name).
+    An immutable tuple, validated on construction: the engine builds one
+    per kernel, so it must be cheap to build.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, time: float, kind: EventKind, payload: Any = None) -> "Event":
+        if not time >= 0:  # NaN fails this too
+            raise ValueError(f"event time must be non-negative, got {time}")
+        return tuple.__new__(cls, (time, kind, payload))
+
+    @classmethod
+    def _make(cls, iterable: Any) -> "Event":  # ``_replace`` validates too
+        return cls(*iterable)
 
 
 class EventQueue:

@@ -39,7 +39,7 @@ class LookupEntry:
     def __post_init__(self) -> None:
         if self.data_size <= 0:
             raise ValueError(f"data_size must be positive, got {self.data_size}")
-        if self.time_ms <= 0:
+        if not self.time_ms > 0:  # NaN fails this too
             raise ValueError(f"time_ms must be positive, got {self.time_ms}")
 
 

@@ -8,15 +8,28 @@ no processor overlap) and is the input to all metric computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, NamedTuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.graphs.dfg import DFG
 
 
-@dataclass(frozen=True)
-class ScheduleEntry:
+class _EntryFields(NamedTuple):
+    kernel_id: int
+    kernel: str
+    data_size: int
+    processor: str
+    ptype: str
+    ready_time: float
+    assign_time: float
+    transfer_start: float
+    exec_start: float
+    finish_time: float
+    used_alternative: bool = False
+    arrival_time: float = 0.0
+
+
+class ScheduleEntry(_EntryFields):
     """The lifecycle of one kernel through the system.
 
     Timeline (all milliseconds)::
@@ -33,39 +46,55 @@ class ScheduleEntry:
     ``arrival_time`` (≤ ``ready_time``) is when the kernel entered the
     system — 0 for every kernel of a stream submitted at once, which is
     the paper's setting.
+
+    An immutable tuple, validated on construction: the engine builds one
+    per kernel, so it must be cheap to build.
     """
 
-    kernel_id: int
-    kernel: str
-    data_size: int
-    processor: str
-    ptype: str
-    ready_time: float
-    assign_time: float
-    transfer_start: float
-    exec_start: float
-    finish_time: float
-    used_alternative: bool = False
-    arrival_time: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.arrival_time > self.ready_time + 1e-9:
+    def __new__(
+        cls,
+        kernel_id: int,
+        kernel: str,
+        data_size: int,
+        processor: str,
+        ptype: str,
+        ready_time: float,
+        assign_time: float,
+        transfer_start: float,
+        exec_start: float,
+        finish_time: float,
+        used_alternative: bool = False,
+        arrival_time: float = 0.0,
+    ) -> "ScheduleEntry":
+        if arrival_time > ready_time + 1e-9:
             raise ValueError(
-                f"kernel {self.kernel_id} arrives at {self.arrival_time} "
-                f"after becoming ready at {self.ready_time}"
+                f"kernel {kernel_id} arrives at {arrival_time} "
+                f"after becoming ready at {ready_time}"
             )
         if not (
-            self.ready_time <= self.assign_time + 1e-9
-            and self.assign_time <= self.transfer_start + 1e-9
-            and self.transfer_start <= self.exec_start + 1e-9
-            and self.exec_start < self.finish_time
+            ready_time <= assign_time + 1e-9
+            and assign_time <= transfer_start + 1e-9
+            and transfer_start <= exec_start + 1e-9
+            and exec_start < finish_time
         ):
             raise ValueError(
-                f"inconsistent timeline for kernel {self.kernel_id}: "
-                f"ready={self.ready_time} assign={self.assign_time} "
-                f"transfer={self.transfer_start} exec={self.exec_start} "
-                f"finish={self.finish_time}"
+                f"inconsistent timeline for kernel {kernel_id}: "
+                f"ready={ready_time} assign={assign_time} "
+                f"transfer={transfer_start} exec={exec_start} "
+                f"finish={finish_time}"
             )
+        fields = (
+            kernel_id, kernel, data_size, processor, ptype, ready_time,
+            assign_time, transfer_start, exec_start, finish_time,
+            used_alternative, arrival_time,
+        )
+        return tuple.__new__(cls, fields)
+
+    @classmethod
+    def _make(cls, iterable: Any) -> "ScheduleEntry":  # ``_replace`` validates too
+        return cls(*iterable)
 
     @property
     def transfer_time(self) -> float:

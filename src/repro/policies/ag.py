@@ -33,6 +33,7 @@ class AG(DynamicPolicy):
 
     name = "ag"
     time_sensitive = False
+    settles = True
 
     def __init__(self, history_window: int = 5) -> None:
         if history_window < 1:

@@ -88,6 +88,7 @@ class APT(DynamicPolicy):
 
     name = "apt"
     time_sensitive = False
+    settles = True
 
     def __init__(self, alpha: float = 4.0, include_transfer: bool = True) -> None:
         if alpha < 1.0:

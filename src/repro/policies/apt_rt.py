@@ -55,6 +55,11 @@ class APT_RT(APT):
     # The remaining-time check compares busy processors' free_at against
     # the current clock, so answers can flip on pure time advance.
     time_sensitive = True
+    # Nor does one call settle: the bound reads p_min's view before this
+    # call's own p_min assignment is applied, so it is x and no
+    # alternative beats it; after the apply it grows, and a re-ask may
+    # place the waiting kernel on an alternative.
+    settles = False
 
     def __init__(
         self,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Collection, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Collection, Mapping, NamedTuple, Sequence
 
 from repro.core.cost import ELEMENT_SIZE, CostModel
 from repro.core.system import Processor, ProcessorType, SystemConfig
@@ -34,15 +34,15 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.graphs.dfg import DFG
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     """A policy decision binding a ready kernel to a processor.
 
     ``queued=False`` (the default) targets an *idle* processor and starts
     immediately.  ``queued=True`` appends to the processor's FIFO queue even
     if it is busy — the Adaptive Greedy policy works this way (§2.5.3).
     ``alternative=True`` marks an APT second-best-processor assignment for
-    the Table 15/16 allocation analyses.
+    the Table 15/16 allocation analyses.  An immutable tuple, like the
+    other per-kernel records.
     """
 
     kernel_id: int
@@ -51,9 +51,8 @@ class Assignment:
     alternative: bool = False
 
 
-@dataclass(frozen=True)
-class ProcessorView:
-    """Read-only processor state exposed to policies.
+class ProcessorView(NamedTuple):
+    """Read-only processor state exposed to policies (an immutable tuple).
 
     ``free_at`` is the time the processor's running kernel is expected
     to finish; for an idle processor it is the instant the processor
@@ -161,10 +160,10 @@ class SchedulingContext:
         dfg: "DFG",
         system: SystemConfig,
         cost: CostModel,
-        views: Mapping[str, ProcessorView] = (),  # type: ignore[assignment]
-        assignment_of: Mapping[int, str] = (),  # type: ignore[assignment]
+        views: Mapping[str, ProcessorView] | None = None,
+        assignment_of: Mapping[int, str] | None = None,
         completed: frozenset[int] | set[int] = frozenset(),
-        exec_history: Mapping[str, Sequence[float]] = (),  # type: ignore[assignment]
+        exec_history: Mapping[str, Sequence[float]] | None = None,
         predecessors_of: Mapping[int, list[int]] | None = None,
         specs_of: "Mapping[int, object] | None" = None,
         transfer_memo: "dict[tuple[int, str], float] | None" = None,
@@ -181,10 +180,15 @@ class SchedulingContext:
         self.dfg = dfg
         self.system = system
         self.cost = cost
-        self.views = views if views else {}
-        self.assignment_of = assignment_of if assignment_of else {}
+        # a mapping passed in is kept even when empty: it may be live
+        self.views: Mapping[str, ProcessorView] = {} if views is None else views
+        self.assignment_of: Mapping[int, str] = (
+            {} if assignment_of is None else assignment_of
+        )
         self.completed = completed
-        self.exec_history = exec_history if exec_history else {}
+        self.exec_history: Mapping[str, Sequence[float]] = (
+            {} if exec_history is None else exec_history
+        )
         self._preds = predecessors_of
         self._specs = specs_of
         self._transfer_memo = transfer_memo
@@ -407,7 +411,9 @@ class Policy(abc.ABC):
     #: the clock has changed since (pure streaming-arrival events).  The
     #: conservative default — ``True`` — never skips on time advance; the
     #: built-in policies override it except APT-RT, whose remaining-time
-    #: check reads the clock.
+    #: check reads the clock.  Whether one answer places everything is a
+    #: separate promise, :attr:`DynamicPolicy.settles`: a clock-blind
+    #: policy may still place one kernel per call.
     time_sensitive: bool = True
 
     def reset(self) -> None:
@@ -429,6 +435,18 @@ class Policy(abc.ABC):
 class DynamicPolicy(Policy):
     """A policy invoked with the live system state on every event."""
 
+    #: Whether one :meth:`select` call returns every assignment the policy
+    #: would make in the current state.  Asked again right after those
+    #: assignments are applied, with nothing else changed, a settling
+    #: policy would return nothing and change no state of its own (no RNG
+    #: draw, counter or cursor), so the engine does not ask again.  The
+    #: conservative default — ``False`` — re-asks until an answer is
+    #: empty.  Every built-in dynamic policy settles except APT-RT: its
+    #: remaining-time bound sees p_min's new finish time only once its own
+    #: assignment to p_min is applied, and the re-ask may then place a
+    #: waiting kernel on an alternative.
+    settles: bool = False
+
     @property
     def is_dynamic(self) -> bool:
         return True
@@ -437,8 +455,9 @@ class DynamicPolicy(Policy):
     def select(self, ctx: SchedulingContext) -> list[Assignment]:
         """Return assignments for (a subset of) the ready kernels.
 
-        Called repeatedly until it returns no new assignment at the current
-        time; it must therefore be idempotent on an unchanged context.
+        Asked again after its assignments are applied, until it returns
+        none at the current time — or, for a policy that :attr:`settles`,
+        once per state.  It must be idempotent on an unchanged context.
         """
 
     def preempt(self, ctx: SchedulingContext) -> Sequence[str]:

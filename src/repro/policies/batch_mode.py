@@ -33,6 +33,7 @@ class _BatchModePolicy(DynamicPolicy):
 
     #: Completion costs depend only on the ready set and idle processors.
     time_sensitive = False
+    settles = True
 
     def _score(self, best: float, second: float) -> float:
         raise NotImplementedError

@@ -23,6 +23,7 @@ class MET(DynamicPolicy):
 
     name = "met"
     time_sensitive = False
+    settles = True
 
     def select(self, ctx: SchedulingContext) -> list[Assignment]:
         out: list[Assignment] = []

@@ -18,6 +18,7 @@ class OLB(DynamicPolicy):
 
     name = "olb"
     time_sensitive = False
+    settles = True
 
     def select(self, ctx: SchedulingContext) -> list[Assignment]:
         out: list[Assignment] = []

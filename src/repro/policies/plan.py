@@ -32,6 +32,7 @@ class PlanDispatcher(DynamicPolicy):
 
     name = "_plan"
     time_sensitive = False
+    settles = True
 
     def __init__(self, plan: StaticPlan) -> None:
         self._plan = plan

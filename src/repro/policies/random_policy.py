@@ -18,6 +18,7 @@ class RandomPolicy(DynamicPolicy):
 
     name = "random"
     time_sensitive = False
+    settles = True
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed

@@ -17,6 +17,7 @@ class SPN(DynamicPolicy):
 
     name = "spn"
     time_sensitive = False
+    settles = True
 
     def select(self, ctx: SchedulingContext) -> list[Assignment]:
         out: list[Assignment] = []

@@ -34,6 +34,7 @@ class SS(DynamicPolicy):
 
     name = "ss"
     time_sensitive = False
+    settles = True
 
     def select(self, ctx: SchedulingContext) -> list[Assignment]:
         out: list[Assignment] = []

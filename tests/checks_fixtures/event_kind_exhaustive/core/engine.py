@@ -1,8 +1,10 @@
-"""An engine core — its EventKind references count as handled."""
+"""An engine core: its own ``handles`` counts, a bare reference does not."""
 
 from .events import EventKind
 
 
 class MiniEngineCore:
+    handles = (EventKind.KERNEL_READY,)
+
     def run_loop(self) -> object:
-        return EventKind.KERNEL_READY  # handled: engine-core hot path
+        return EventKind.KERNEL_READY  # the hot path named in `handles`

@@ -187,7 +187,7 @@ def result_digest(result) -> str:
     changes with the last bit of any simulated time.
     """
     payload = {
-        "schedule": [dataclasses.asdict(e) for e in result.schedule],
+        "schedule": [e._asdict() for e in result.schedule],
         "metrics": dataclasses.asdict(result.metrics),
         "policy_stats": result.policy_stats,
         "dynamics_stats": result.dynamics_stats,

@@ -231,6 +231,33 @@ def test_deleting_any_handles_entry_fails(tmp_path):
     dynamics.write_text(original, encoding="utf-8")
 
 
+def test_naming_a_kind_in_the_engine_does_not_handle_it(tmp_path):
+    """Only `handles` tuples count: an `EventKind.FAULT` the engine core
+    names for another purpose must not hide a layer that drops it, and
+    the core's own `handles` is what covers KERNEL_COMPLETE."""
+    scratch = _scratch_tree(tmp_path)
+    engine = scratch / "core" / "engine.py"
+    dynamics = scratch / "core" / "dynamics.py"
+    engine_text = engine.read_text(encoding="utf-8")
+    dynamics_text = dynamics.read_text(encoding="utf-8")
+    engine.write_text(
+        engine_text + "\n\n_PROBE = EventKind.FAULT\n", encoding="utf-8"
+    )
+    assert _failing_rules(scratch) == set()
+    old = "handles = (EventKind.FAULT, EventKind.REPAIR)"
+    assert old in dynamics_text
+    dynamics.write_text(
+        dynamics_text.replace(old, "handles = (EventKind.REPAIR,)", 1), encoding="utf-8"
+    )
+    assert "event-kind-exhaustive" in _failing_rules(scratch)
+
+    dynamics.write_text(dynamics_text, encoding="utf-8")
+    core = "    handles = (EventKind.KERNEL_COMPLETE,)\n"
+    assert engine_text.count(core) == 1
+    engine.write_text(engine_text.replace(core, ""), encoding="utf-8")
+    assert "event-kind-exhaustive" in _failing_rules(scratch)
+
+
 def test_misspelling_any_hook_fails(tmp_path):
     """Misspelling any RuntimeDynamics hook in any layer breaks the check."""
     scratch = _scratch_tree(tmp_path)

@@ -26,6 +26,7 @@ from repro.core.dynamics import (
     parse_dynamics_arg,
 )
 from repro.core.engine import RuntimeDynamics
+from repro.core.events import EventKind
 from repro.core.simulator import Simulator
 from repro.core.system import CPU_GPU_FPGA, Processor, ProcessorType, SystemConfig
 from repro.core.topology import bus_topology
@@ -391,6 +392,27 @@ class TestCustomLayers:
         assert recorder.counts["finish"] == n
         assert recorder.counts["entry"] == n
         assert recorder.counts["observe"] > 0
+
+    @pytest.mark.parametrize(
+        "kind, owner",
+        [
+            (EventKind.KERNEL_COMPLETE, "the engine core"),
+            (EventKind.KERNEL_READY, "another layer"),
+        ],
+    )
+    def test_layer_claiming_a_handled_kind_is_refused(
+        self, system, lookup, dfg, kind, owner
+    ):
+        # the core handles completions inline: a layer claiming them
+        # would never be called, so it is refused like a second claim
+        class Claimer(RuntimeDynamics):
+            name = "claimer"
+            handles = (kind,)
+
+        with pytest.raises(ValueError, match=f"already handled by {owner}"):
+            Simulator(system, lookup, dynamics=[Claimer()]).run(
+                dfg, get_policy("apt")
+            )
 
     def test_bad_dynamics_item_rejected(self, system, lookup, dfg):
         with pytest.raises(TypeError, match="dynamics must be"):

@@ -66,6 +66,36 @@ class TestSchedulingContext:
     def test_transfer_time_zero_without_predecessors(self, captured):
         assert captured.transfer_time(0, "fpga0") == 0.0
 
+    def test_an_empty_live_mapping_stays_live(self, system, synth_lookup):
+        # a context is a view: mappings it is given are kept, even empty
+        views, assignment_of, exec_history = {}, {}, {}
+        ctx = SchedulingContext(
+            time=0.0,
+            ready=(),
+            dfg=dfg_of("fast_cpu"),
+            system=system,
+            cost=CostModel(system, synth_lookup),
+            views=views,
+            assignment_of=assignment_of,
+            exec_history=exec_history,
+        )
+        assignment_of[3] = "gpu0"
+        exec_history["gpu0"] = [1.0]
+        views["gpu0"] = ProcessorView(system["gpu0"], False, 0.0, 0, None)
+        assert ctx.assignment_of is assignment_of and ctx.assignment_of[3] == "gpu0"
+        assert ctx.exec_history is exec_history and ctx.exec_history["gpu0"] == [1.0]
+        assert ctx.views is views and ctx.views["gpu0"].idle
+
+    def test_mappings_default_to_empty(self, system, synth_lookup):
+        ctx = SchedulingContext(
+            time=0.0,
+            ready=(),
+            dfg=dfg_of("fast_cpu"),
+            system=system,
+            cost=CostModel(system, synth_lookup),
+        )
+        assert ctx.views == ctx.assignment_of == ctx.exec_history == {}
+
 
 class TestStaticPlan:
     def test_validate_accepts_complete_plan(self, system):

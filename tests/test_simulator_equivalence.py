@@ -67,7 +67,7 @@ def assert_identical_runs(sim_kwargs, dfg, policy_name, arrivals=None):
     slow = ReferenceSimulator(system, lookup, **sim_kwargs).run(
         dfg, get_policy(policy_name), arrivals=arrivals
     )
-    # ScheduleEntry is a frozen dataclass: == compares every field.
+    # ScheduleEntry is a tuple: == compares every field.
     assert list(fast.schedule) == list(slow.schedule), (
         f"schedule divergence: {policy_name} on {dfg.name}"
     )
