@@ -33,7 +33,7 @@ from repro.core.topology import (
     tree_topology,
 )
 from repro.core.lookup import LookupTable, LookupEntry
-from repro.core.cost import CostModel
+from repro.core.cost import CostModel, CostRow
 from repro.core.events import Event, EventKind, EventQueue
 from repro.core.engine import EngineCore, RuntimeDynamics, SchedulingError
 from repro.core.dynamics import (
@@ -86,6 +86,7 @@ __all__ = [
     "LookupTable",
     "LookupEntry",
     "CostModel",
+    "CostRow",
     "Event",
     "EventKind",
     "EventQueue",

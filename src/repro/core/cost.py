@@ -22,16 +22,20 @@ Centralizing the model closes two historical leaks:
   ``exec + transfer ≤ α·x`` test) paid phantom transfers in
   transfers-disabled runs.
 
-The model also memoizes the pure lookup-table queries (``exec_time``,
-``best_processor``) and the per-size average communication cost, which
-the simulator hot path and the static planners hit millions of times on
-large workloads.  Memoized answers are bit-identical to the uncached
-computation — caching is a speedup, never a semantic.
+The model also memoizes the pure lookup-table queries and the per-size
+average communication cost, which the simulator hot path and the static
+planners hit millions of times on large workloads.  A kernel's prices
+are fixed for the whole run by its ``(kernel, data_size)`` cost class,
+so :meth:`CostModel.cost_row` files them once per class as a shared
+:class:`CostRow` — its time on every processor, its p_min category and
+``x`` — which the engine files beside each admitted kernel's spec.
+Memoized answers are bit-identical to the uncached computation —
+caching is a speedup, never a semantic.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from repro.core.lookup import LookupTable
 from repro.core.system import ProcessorType, SystemConfig
@@ -42,6 +46,21 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Bytes per data element: single-precision words, matching the OpenCL
 #: kernels the paper measures (transfer bytes = elements × size).
 ELEMENT_SIZE = 4
+
+
+class CostRow(NamedTuple):
+    """One cost class's execution prices, fixed for the run.
+
+    ``times[i]`` is the class's lookup-table time on
+    ``system.processors[i]`` (declaration order); ``best_ptype`` and
+    ``x`` are its p_min category and time.  Each value is the very float
+    :meth:`CostModel.exec_time` / :meth:`CostModel.best_processor`
+    return.
+    """
+
+    times: tuple[float, ...]
+    best_ptype: ProcessorType
+    x: float
 
 
 class CostModel:
@@ -56,6 +75,10 @@ class CostModel:
     transfers_enabled:
         When false, every transfer cost is exactly 0.0 — planning,
         selection and execution all see the same zero.
+
+    Execution prices are memoized per ``(kernel, data_size, category)``
+    and, per cost class, as one shared :class:`CostRow`
+    (:meth:`cost_row`): every kernel of a class reads the same object.
     """
 
     __slots__ = (
@@ -64,7 +87,7 @@ class CostModel:
         "transfers_enabled",
         "_ptypes",
         "_exec_memo",
-        "_best_memo",
+        "_rows",
         "_avg_comm_memo",
     )
 
@@ -79,7 +102,7 @@ class CostModel:
         self.transfers_enabled = bool(transfers_enabled)
         self._ptypes = system.processor_types()
         self._exec_memo: dict[tuple[str, int, ProcessorType], float] = {}
-        self._best_memo: dict[tuple[str, int], tuple[ProcessorType, float]] = {}
+        self._rows: dict[tuple[str, int], CostRow] = {}
         self._avg_comm_memo: dict[int, float] = {}
 
     # ------------------------------------------------------------------
@@ -94,18 +117,23 @@ class CostModel:
             self._exec_memo[key] = t
         return t
 
-    def exec_time_on(self, kernel: str, data_size: int, processor: str) -> float:
-        """Execution time on a concrete processor (by name)."""
-        return self.exec_time(kernel, data_size, self.system[processor].ptype)
+    def cost_row(self, kernel: str, data_size: int) -> CostRow:
+        """The cost class's :class:`CostRow`, built on first request."""
+        key = (kernel, data_size)
+        row = self._rows.get(key)
+        if row is None:
+            exec_time = self.exec_time
+            times = tuple(
+                exec_time(kernel, data_size, p.ptype) for p in self.system.processors
+            )
+            best = self.lookup.best_processor(kernel, data_size, self._ptypes)
+            row = self._rows[key] = CostRow(times, *best)
+        return row
 
     def best_processor(self, kernel: str, data_size: int) -> tuple[ProcessorType, float]:
         """The system's p_min category for the kernel, and its time ``x``."""
-        key = (kernel, data_size)
-        best = self._best_memo.get(key)
-        if best is None:
-            best = self.lookup.best_processor(kernel, data_size, self._ptypes)
-            self._best_memo[key] = best
-        return best
+        row = self.cost_row(kernel, data_size)
+        return row.best_ptype, row.x
 
     # ------------------------------------------------------------------
     # transfer costs

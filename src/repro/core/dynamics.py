@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 import numpy as np
 
 from repro.core.cost import ELEMENT_SIZE
-from repro.core.engine import EngineCore, RuntimeDynamics, _ResidentGraph
+from repro.core.engine import EngineCore, RuntimeDynamics, SchedulingError, _ResidentGraph
 from repro.core.events import Event, EventKind
 from repro.core.metrics import (
     MetricsAccumulator,
@@ -81,6 +81,8 @@ class BatchAdmission(RuntimeDynamics):
         kernel_ids = dfg.kernel_ids()
         e.graph = dfg
         e.specs.update((k, dfg.spec(k)) for k in kernel_ids)
+        cost_row = e.cost.cost_row
+        e.rows.update((k, cost_row(s.kernel, s.data_size)) for k, s in e.specs.items())
         e.preds_of.update((k, dfg.predecessors(k)) for k in kernel_ids)
         e.succs_of.update((k, dfg.successors(k)) for k in kernel_ids)
         arrival_of = {k: self.arrivals.get(k, 0.0) for k in kernel_ids}
@@ -171,11 +173,13 @@ class StreamAdmission(RuntimeDynamics):
         id_map: dict[int, int] = {}
         next_id = self._next_id
         noise_rng = self._noise_rng
+        cost_row = e.cost.cost_row
         for kid in ids:
             nid = next_id
             next_id += 1
             id_map[kid] = nid
-            e.specs[nid] = app_dfg.spec(kid)
+            spec = e.specs[nid] = app_dfg.spec(kid)
+            e.rows[nid] = cost_row(spec.kernel, spec.data_size)
             e.preds_of[nid] = []
             e.succs_of[nid] = []
             e.arrival_of[nid] = arrival_ms
@@ -404,9 +408,7 @@ class RetirementDynamics(RuntimeDynamics):
         """``kid`` left the ready set for good: purge its memoized
         transfer answers and release the predecessors it was pinning."""
         e = self.engine
-        memo = e.transfer_memo
-        for pname in e.proc_names:
-            memo.pop((kid, pname), None)
+        e.transfer_memo.pop(kid, None)
         open_succs = self._open_succs
         completed = e.completed
         for p in e.preds_of[kid]:
@@ -418,6 +420,7 @@ class RetirementDynamics(RuntimeDynamics):
         """Free a kernel's bookkeeping once nothing can query it again."""
         e = self.engine
         del e.specs[kid]
+        del e.rows[kid]
         del e.preds_of[kid]
         del e.succs_of[kid]
         del e.arrival_of[kid]
@@ -511,6 +514,15 @@ class MetricsDynamics(RuntimeDynamics):
 # ----------------------------------------------------------------------
 # fault injection
 # ----------------------------------------------------------------------
+#: Faults may abort one kernel this many times before the run ends with
+#: :class:`~repro.core.engine.SchedulingError`: a kernel that outlasts
+#: every fault-free window would otherwise restart for ever.  A kernel
+#: of length ``L`` needs about ``exp(L / mttf_ms)`` attempts, and runs
+#: that finish after ~10,000 restarts exist (a 610 s kernel under a
+#: 60 s MTTF), so the cap sits an order of magnitude above them.
+MAX_FAULT_ABORTS = 100_000
+
+
 class FaultDynamics(RuntimeDynamics):
     """Seed-deterministic processor failure/repair traces.
 
@@ -528,6 +540,11 @@ class FaultDynamics(RuntimeDynamics):
     price the outage.  On ``REPAIR`` the processor re-enters service and
     dispatches again.  Per-processor downtime inside the run horizon is
     accounted into availability statistics.
+
+    Aborted kernels restart from scratch, so one that outlasts every
+    fault-free window would restart for ever: the run ends with
+    :class:`~repro.core.engine.SchedulingError` once faults have aborted
+    one kernel :data:`MAX_FAULT_ABORTS` times.
     """
 
     name = "fault"
@@ -555,6 +572,7 @@ class FaultDynamics(RuntimeDynamics):
         self.n_faults = 0
         self.n_aborted = 0
         self.n_requeued = 0
+        self._aborts: dict[int, int] = {}  # kid -> aborts so far
         self._rngs: dict[str, np.random.Generator] = {}
         self._downtime = {name: 0.0 for name in targets}
         self._outage_start: dict[str, float] = {}
@@ -573,8 +591,16 @@ class FaultDynamics(RuntimeDynamics):
             repair_at = e.now + float(self._rngs[name].exponential(self.mttr_ms))
             self.n_faults += 1
             self._outage_start[name] = e.now
-            if e.abort_running(name) is not None:
+            kid = e.abort_running(name)
+            if kid is not None:
                 self.n_aborted += 1
+                aborts = self._aborts[kid] = self._aborts.get(kid, 0) + 1
+                if aborts >= MAX_FAULT_ABORTS:
+                    raise SchedulingError(
+                        f"{e.policy.name}: faults aborted kernel {kid} "
+                        f"{aborts} times (the last on {name} at t={e.now}); "
+                        "it outlasts every fault-free window"
+                    )
             self.n_requeued += len(e.flush_queue(name))
             st.faulted = True
             # the aborted kernel's old finish time is meaningless now:
@@ -607,6 +633,9 @@ class FaultDynamics(RuntimeDynamics):
             e.refresh_view(name)
             e.state_version += 1
             e.start_if_possible(name)
+
+    def on_kernel_finish(self, kid: int, proc: str) -> None:
+        self._aborts.pop(kid, None)  # a completed kernel is never aborted again
 
     def finalize(self) -> None:
         # clip outages still open at the end of the run
@@ -681,8 +710,6 @@ class PreemptionDynamics(RuntimeDynamics):
             return
         for name in requests:
             if name not in e.procs:
-                from repro.core.engine import SchedulingError
-
                 raise SchedulingError(
                     f"{e.policy.name}: preemption of unknown processor {name!r}"
                 )
@@ -839,6 +866,7 @@ __all__ = [
     "DYNAMICS_KINDS",
     "DynamicsSpec",
     "FaultDynamics",
+    "MAX_FAULT_ABORTS",
     "MetricsDynamics",
     "PreemptionDynamics",
     "RetirementDynamics",

@@ -27,7 +27,7 @@ core through a narrow hook protocol:
     metrics layer's feed.
 ``observe(ctx)``
     Called once per event batch (after the batch is applied, before the
-    assignment fixpoint) with a live :class:`~repro.policies.base.
+    assignment fixpoint) with the run's live :class:`~repro.policies.base.
     SchedulingContext` — the seam preemption decisions ride on.
 ``finalize()`` / ``stats()``
     End of run: close accounting, report layer statistics.
@@ -62,7 +62,7 @@ from repro.policies.base import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.cost import CostModel
+    from repro.core.cost import CostModel, CostRow
     from repro.core.system import ProcessorType, SystemConfig
     from repro.graphs.dfg import DFG
     from repro.policies.base import Policy
@@ -321,12 +321,16 @@ class EngineCore:
         self.noise_seed = int(noise_seed)
 
         self.procs: dict[str, _ProcState] = {p.name: _ProcState() for p in system}
-        self.proc_index = {p.name: i for i, p in enumerate(system)}
+        self.proc_index = system.index_by_name
         self.proc_names = tuple(self.procs)
+        # category strings by processor index, for schedule entries
+        self._category = tuple(p.ptype.value for p in system)
 
         # kernel tables (content owned by the admission layer)
         self.graph: "DFG | _ResidentGraph | None" = None
         self.specs: dict[int, Any] = {}
+        # the CostRow of each resident kernel, filed beside its spec
+        self.rows: dict[int, "CostRow"] = {}
         self.preds_of: dict[int, list[int]] = {}
         self.succs_of: dict[int, list[int]] = {}
         self.arrival_of: dict[int, float] = {}
@@ -342,7 +346,7 @@ class EngineCore:
         self.assignment_of: dict[int, str] = {}
         self.completed: set[int] = set()
         self.exec_history: dict[str, list[float]] = {p.name: [] for p in system}
-        self.transfer_memo: dict[tuple[int, str], float] = {}
+        self.transfer_memo: dict[int, dict[str, float]] = {}
 
         self.events = EventQueue()
         self.now = 0.0
@@ -352,6 +356,7 @@ class EngineCore:
         self.more_arrivals = False
 
         self.views: dict[str, ProcessorView] = {}
+        self._ctx: SchedulingContext | None = None
         self.state_version = 0
         self.time_sensitive = bool(getattr(driver, "time_sensitive", True))
         self.settles = bool(getattr(driver, "settles", False))
@@ -419,18 +424,15 @@ class EngineCore:
     # views and contexts
     # ------------------------------------------------------------------
     def refresh_view(self, name: str) -> None:
-        # positional construction — this runs once per processor-state
-        # mutation, the hottest object creation in the engine.  The clock
-        # moving is not a mutation: SchedulingContext.free_at clamps.
+        # built with tuple.__new__ — this runs once per processor-state
+        # mutation, the hottest object creation in the engine, and the
+        # NamedTuple's own __new__ only adds a frame.  The clock moving
+        # is not a mutation: SchedulingContext.free_at clamps.
         st = self.procs[name]
-        self.views[name] = ProcessorView(
-            self.system[name],
-            st.running is not None,
-            st.free_at,
-            len(st.queue),
-            st.running,
-            not (st.faulted or st.penalized),
-        )
+        self.views[name] = tuple.__new__(ProcessorView, (
+            self.system[name], st.running is not None, st.free_at, len(st.queue),
+            st.running, not (st.faulted or st.penalized),
+        ))
 
     def _placement_classifier(
         self, driver: "DynamicPolicy"
@@ -461,10 +463,14 @@ class EngineCore:
         return classify
 
     def make_context(self) -> SchedulingContext:
-        # Live references throughout — nothing is copied per invocation,
-        # and the ready tuple is built only if the policy reads it.
+        # One live context per run, built at its first ask (the graph is
+        # set by then): every field but the clock and the ready thunk is
+        # a live reference, so later asks only refresh those two.
         ready = self.ready
-        return SchedulingContext(
+        ctx = self._ctx
+        if ctx is not None:
+            return ctx.refresh(self.now, ready.as_tuple)
+        ctx = self._ctx = SchedulingContext(
             time=self.now,
             ready=ready.as_tuple,
             ready_by_type=ready.buckets,
@@ -479,7 +485,9 @@ class EngineCore:
             specs_of=self.specs,
             transfer_memo=self.transfer_memo,
             preemption=self._preempt_info,
+            rows=self.rows,
         )
+        return ctx
 
     # ------------------------------------------------------------------
     # dispatch
@@ -492,14 +500,14 @@ class EngineCore:
         kid, alternative = st.queue.popleft()
         spec = self.specs[kid]
         now = self.now
-        cost = self.cost
-        ptype = self.system[name].ptype
-        transfer = cost.inbound_transfer(
-            self.graph, kid, name, self.assignment_of, self.preds_of[kid]  # type: ignore[arg-type]
+        i = self.proc_index[name]
+        preds = self.preds_of[kid]
+        transfer = (
+            self.cost.inbound_transfer(self.graph, kid, name, self.assignment_of, preds)  # type: ignore[arg-type]
+            if preds
+            else 0.0
         )
-        exec_time = cost.exec_time(
-            spec.kernel, spec.data_size, ptype
-        ) * self.noise.get(kid, 1.0)
+        exec_time = self.rows[kid].times[i] * self.noise.get(kid, 1.0)
         token = self._start_seq = self._start_seq + 1
         self._live_token[name] = token
         if self._contention is not None and transfer > 0.0:
@@ -525,7 +533,7 @@ class EngineCore:
             spec.kernel,
             spec.data_size,
             name,
-            ptype.value,
+            self._category[i],
             self.ready_time[kid],
             self.assign_time[kid],
             now,
@@ -580,7 +588,8 @@ class EngineCore:
             # event insertion order, which breaks completion-time ties.
             # A start rebuilds its processor's view; the others rebuild
             # here, once, for their longer queue.
-            for name in sorted(touched, key=self.proc_index.__getitem__):
+            order = sorted(touched, key=self.proc_index.__getitem__) if len(touched) > 1 else touched
+            for name in order:
                 if not self.start_if_possible(name):
                     self.refresh_view(name)
         return bool(touched)
@@ -721,7 +730,8 @@ class EngineCore:
         for h in self._finish_hooks:
             h(kid, name)
         # a queued kernel may start immediately on the freed processor
-        self.start_if_possible(name)
+        if st.queue:
+            self.start_if_possible(name)
 
     def run_loop(self) -> None:
         """Drive the simulation to completion."""

@@ -61,9 +61,11 @@ every layer prices an assignment identically.
 The inner loop is *incremental*, built for million-kernel streams and
 many-processor systems: processor views are rebuilt only on change, the
 ready queue is an order-preserving set with O(1) membership and removal,
-per-kernel lookup queries are memoized in the cost model, and a policy
-whose last answer was empty is not re-invoked until something it can
-observe has changed (:attr:`~repro.policies.base.Policy.time_sensitive`).
+each kernel's lookup-table prices are filed once per cost class (a
+shared :class:`~repro.core.cost.CostRow`), one live scheduling context
+serves every ask of a run, and a policy whose last answer was empty is
+not re-invoked until something it can observe has changed
+(:attr:`~repro.policies.base.Policy.time_sensitive`).
 Unused layer hooks are never dispatched, so the layering adds no
 per-event tax (gated in ``benchmarks/test_bench_simulator_scale.py``).
 

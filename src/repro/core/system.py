@@ -140,6 +140,7 @@ class SystemConfig:
             ptype: tuple(p.name for p in procs) for ptype, procs in self._of_type.items()
         }
         self._ptype_by_name = {p.name: p.ptype for p in self._processors}
+        self._index_by_name = {p.name: i for i, p in enumerate(self._processors)}
         # transfer_time_ms is the hottest query in the simulator (policies
         # price every candidate assignment) — precompute the effective
         # bytes-per-ms divisor for every ordered pair so the query is one
@@ -207,6 +208,12 @@ class SystemConfig:
     def ptype_by_name(self) -> Mapping[str, ProcessorType]:
         """Processor name → category, in declaration order."""
         return self._ptype_by_name
+
+    @property
+    def index_by_name(self) -> Mapping[str, int]:
+        """Processor name → its position in :attr:`processors` (the
+        index into a :class:`~repro.core.cost.CostRow`'s ``times``)."""
+        return self._index_by_name
 
     # ------------------------------------------------------------------
     # interconnect

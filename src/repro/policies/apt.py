@@ -131,21 +131,22 @@ class APT(DynamicPolicy):
     # ------------------------------------------------------------------
     def select(self, ctx: SchedulingContext) -> list[Assignment]:
         out: list[Assignment] = []
-        ptype_of = ctx.system.ptype_by_name
+        index = ctx.system.index_by_name
         names_by_type = ctx.system.names_by_type
         views = ctx.views
         # Available = idle and not consumed by an assignment made earlier
         # in this call.  An insertion-ordered dict keeps the scan in
         # system declaration order — the same tie-break the per-kernel
         # view checks produced — at O(available) instead of O(P) probes.
-        avail: dict[str, None] = {name: None for name in ptype_of if views[name].idle}
+        avail: dict[str, None] = {name: None for name in index if views[name].idle}
 
         for kid in _candidates(ctx, avail):
             if not avail:
                 # No processor can accept work: neither a p_min nor an
                 # alternative exists for any remaining kernel.
                 break
-            best_ptype, x = ctx.best_processor_type(kid)
+            # the kernel's lookup-table prices, one row per cost class
+            times, best_ptype, x = ctx.cost_row(kid)
             # findBestProc: an available instance of the best category.
             p_min = next(
                 (n for n in names_by_type.get(best_ptype, ()) if n in avail), None
@@ -164,7 +165,7 @@ class APT(DynamicPolicy):
             best_alt: str | None = None
             best_cost = self._alternative_bound(ctx, best_ptype, x)
             for name in avail:
-                cost = ctx.exec_time(kid, ptype_of[name])
+                cost = times[index[name]]
                 if needs_transfer:
                     cost += ctx.transfer_time(kid, name)
                 if cost <= threshold and cost < best_cost:

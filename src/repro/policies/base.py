@@ -26,7 +26,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Collection, Mapping, NamedTuple, Sequence
 
-from repro.core.cost import ELEMENT_SIZE, CostModel
+from repro.core.cost import ELEMENT_SIZE, CostModel, CostRow
 from repro.core.system import Processor, ProcessorType, SystemConfig
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -123,10 +123,18 @@ class SchedulingContext:
     Contexts are *views*, not snapshots: ``views``, ``assignment_of``,
     ``completed`` and ``exec_history`` may be live structures the
     simulator keeps updating between policy invocations (the incremental
-    hot path depends on not copying them).  ``ready`` is read on first
-    access; the engine never changes the ready set while a policy holds
-    the context.  A policy must consume its context inside ``select``
-    and never cache it across calls.
+    hot path depends on not copying them).  The engine builds *one*
+    context per simulation and, before each ask (``select``, and the
+    dynamics layers' ``observe``), only :meth:`refresh`-es its clock and
+    ready set; ``ready`` is read on first access, and the engine never
+    changes the ready set while a policy holds the context.  So read
+    ``ctx.ready`` and ``ctx.time`` inside ``select``: a context kept
+    after ``select`` returns is the same object the engine goes on
+    refreshing, and follows the engine's later states.
+
+    ``cost_row(kid)`` is the kernel's
+    :class:`~repro.core.cost.CostRow`: from the engine's table of
+    admitted kernels when given ``rows``, else from the cost model.
 
     ``ready_by_type`` is the engine's candidate index, present only when
     the driving policy overrides :meth:`DynamicPolicy.placement_types`:
@@ -150,6 +158,8 @@ class SchedulingContext:
         "_preds",
         "_specs",
         "_transfer_memo",
+        "_rows",
+        "_index",
         "preemption",
     )
 
@@ -166,9 +176,10 @@ class SchedulingContext:
         exec_history: Mapping[str, Sequence[float]] | None = None,
         predecessors_of: Mapping[int, list[int]] | None = None,
         specs_of: "Mapping[int, object] | None" = None,
-        transfer_memo: "dict[tuple[int, str], float] | None" = None,
+        transfer_memo: "dict[int, dict[str, float]] | None" = None,
         preemption: PreemptionInfo | None = None,
         ready_by_type: "Mapping[ProcessorType, Mapping[int, int]] | None" = None,
+        rows: "Mapping[int, CostRow] | None" = None,
     ) -> None:
         self.time = time
         # ``ready`` is the kernels themselves, or a function returning
@@ -192,7 +203,19 @@ class SchedulingContext:
         self._preds = predecessors_of
         self._specs = specs_of
         self._transfer_memo = transfer_memo
+        self._rows = rows
+        self._index = system.index_by_name
         self.preemption = preemption
+
+    def refresh(
+        self, time: float, ready: "Callable[[], tuple[int, ...]]"
+    ) -> "SchedulingContext":
+        """Point this live context at the engine's next ask: the clock
+        and a fresh ready thunk; every other field is a live reference
+        already.  Returns the context."""
+        self.time = time
+        self._ready = ready
+        return self
 
     @property
     def ready(self) -> tuple[int, ...]:
@@ -260,8 +283,17 @@ class SchedulingContext:
         spec = self._spec(kernel_id)
         return self.cost.exec_time(spec.kernel, spec.data_size, ptype)
 
+    def cost_row(self, kernel_id: int) -> CostRow:
+        """The kernel's :class:`~repro.core.cost.CostRow` (its time on
+        every processor, its p_min category and ``x``)."""
+        rows = self._rows
+        if rows is not None:
+            return rows[kernel_id]
+        spec = self._spec(kernel_id)
+        return self.cost.cost_row(spec.kernel, spec.data_size)
+
     def exec_time_on(self, kernel_id: int, processor: str) -> float:
-        return self.exec_time(kernel_id, self.system[processor].ptype)
+        return self.cost_row(kernel_id).times[self._index[processor]]
 
     def data_bytes(self, kernel_id: int) -> int:
         return self.cost.data_bytes(self._spec(kernel_id).data_size)
@@ -281,9 +313,11 @@ class SchedulingContext:
         """
         memo = self._transfer_memo
         if memo is not None:
-            cached = memo.get((kernel_id, processor))
-            if cached is not None:
-                return cached
+            known = memo.get(kernel_id)
+            if known is not None:
+                cached = known.get(processor)
+                if cached is not None:
+                    return cached
         preds = self._preds[kernel_id] if self._preds is not None else None
         nbytes = (
             self._specs[kernel_id].data_size * ELEMENT_SIZE
@@ -297,13 +331,13 @@ class SchedulingContext:
             if preds is None:
                 preds = self.dfg.predecessors(kernel_id)
             if all(p in self.completed for p in preds):
-                memo[(kernel_id, processor)] = value
+                memo.setdefault(kernel_id, {})[processor] = value
         return value
 
     def best_processor_type(self, kernel_id: int) -> tuple[ProcessorType, float]:
         """The lookup table's p_min category and its execution time ``x``."""
-        spec = self._spec(kernel_id)
-        return self.cost.best_processor(spec.kernel, spec.data_size)
+        row = self.cost_row(kernel_id)
+        return row.best_ptype, row.x
 
     # ------------------------------------------------------------------
     # route-aware queries (topology systems; see repro.core.topology)
@@ -348,9 +382,9 @@ class SchedulingContext:
     def with_ready(self, ready: Sequence[int]) -> "SchedulingContext":
         """A sibling context exposing a reordered/filtered ready set.
 
-        Used by queue-discipline ablations; shares every other field
-        except the candidate index, which describes the engine's FCFS
-        ready set, not ``ready``.
+        Used by queue-discipline ablations; a new object sharing every
+        other field except the candidate index, which describes the
+        engine's FCFS ready set, not ``ready``.
         """
         return SchedulingContext(
             time=self.time,
@@ -366,7 +400,24 @@ class SchedulingContext:
             specs_of=self._specs,
             transfer_memo=self._transfer_memo,
             preemption=self.preemption,
+            rows=self._rows,
         )
+
+
+def ready_by_times(ctx: SchedulingContext) -> dict[tuple[float, ...], list[int]]:
+    """The ready kernels grouped by their cost rows' exec times.
+
+    Each distinct ``times`` tuple maps to the positions, in
+    ``ctx.ready``, of the kernels whose row carries it, in FCFS order;
+    groups are in the order of their first kernel.  Kernels of one group
+    price identically on every processor, so a policy scoring only exec
+    times need score just each group's first kernel.
+    """
+    groups: dict[tuple[float, ...], list[int]] = {}
+    cost_row = ctx.cost_row
+    for pos, kid in enumerate(ctx.ready):
+        groups.setdefault(cost_row(kid).times, []).append(pos)
+    return groups
 
 
 @dataclass(frozen=True)
@@ -458,6 +509,9 @@ class DynamicPolicy(Policy):
         Asked again after its assignments are applied, until it returns
         none at the current time — or, for a policy that :attr:`settles`,
         once per state.  It must be idempotent on an unchanged context.
+        Read ``ctx.ready`` and ``ctx.time`` here: the engine passes the
+        same live context to every ask of a run, so a context kept past
+        this call follows the engine's later states.
         """
 
     def preempt(self, ctx: SchedulingContext) -> Sequence[str]:

@@ -37,7 +37,7 @@ class MET(DynamicPolicy):
                 # MET only ever targets a kernel's best category; with no
                 # processor available nothing further can be assigned.
                 break
-            best_ptype, _ = ctx.best_processor_type(kid)
+            best_ptype = ctx.cost_row(kid).best_ptype
             p_min = next(
                 (n for n in names_by_type.get(best_ptype, ()) if n in avail), None
             )

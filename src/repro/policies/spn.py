@@ -9,11 +9,19 @@ land on a processor orders of magnitude slower than its best one.
 
 from __future__ import annotations
 
-from repro.policies.base import Assignment, DynamicPolicy, SchedulingContext
+from repro.policies.base import Assignment, DynamicPolicy, SchedulingContext, ready_by_times
 
 
 class SPN(DynamicPolicy):
-    """Shortest Process Next."""
+    """Shortest Process Next.
+
+    The pick is the smallest exec time over (ready kernel, idle
+    processor) pairs, ties going to the earlier kernel in FCFS order,
+    then to the earlier idle processor.  Kernels with equal exec times
+    tie on every pair, so only the first of each :func:`ready_by_times`
+    group is scored: O(distinct rows × idle) per pick, not O(ready ×
+    idle).
+    """
 
     name = "spn"
     time_sensitive = False
@@ -21,18 +29,25 @@ class SPN(DynamicPolicy):
 
     def select(self, ctx: SchedulingContext) -> list[Assignment]:
         out: list[Assignment] = []
-        ready = list(ctx.ready)
+        ready = ctx.ready
+        groups = ready_by_times(ctx)
+        index = ctx.system.index_by_name
         idle = [v.name for v in ctx.idle_processors()]
-        while ready and idle:
-            best: tuple[float, int, str] | None = None
-            for kid in ready:
-                for name in idle:
-                    t = ctx.exec_time_on(kid, name)
-                    if best is None or t < best[0]:
-                        best = (t, kid, name)
+        while groups and idle:
+            cols = [index[name] for name in idle]
+            # (time, FCFS position of the kernel, idle position, group)
+            best: tuple[float, int, int, tuple[float, ...]] | None = None
+            for times, positions in groups.items():
+                head = positions[0]
+                for j, col in enumerate(cols):
+                    t = times[col]
+                    if best is None or t < best[0] or (t == best[0] and head < best[1]):
+                        best = (t, head, j, times)
             assert best is not None
-            _, kid, name = best
-            ready.remove(kid)
-            idle.remove(name)
-            out.append(Assignment(kernel_id=kid, processor=name))
+            _, head, j, times = best
+            positions = groups[times]
+            del positions[0]
+            if not positions:
+                del groups[times]
+            out.append(Assignment(kernel_id=ready[head], processor=idle.pop(j)))
         return out

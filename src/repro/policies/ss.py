@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from repro.policies.base import Assignment, DynamicPolicy, SchedulingContext
+from repro.policies.base import Assignment, DynamicPolicy, SchedulingContext, ready_by_times
 
 
 def _population_stddev(values: list[float]) -> float:
@@ -30,7 +30,14 @@ def _population_stddev(values: list[float]) -> float:
 
 
 class SS(DynamicPolicy):
-    """Serial Scheduling (highest execution-time spread first)."""
+    """Serial Scheduling (highest execution-time spread first).
+
+    The highest spread wins, ties going to the earlier kernel in FCFS
+    order; its processor is the fastest idle one, ties going to the
+    earlier idle processor.  Kernels with equal exec times have equal
+    spreads, so only the first of each :func:`ready_by_times` group is
+    scored.
+    """
 
     name = "ss"
     time_sensitive = False
@@ -38,18 +45,24 @@ class SS(DynamicPolicy):
 
     def select(self, ctx: SchedulingContext) -> list[Assignment]:
         out: list[Assignment] = []
-        ready = list(ctx.ready)
+        ready = ctx.ready
+        groups = ready_by_times(ctx)
+        index = ctx.system.index_by_name
         idle = [v.name for v in ctx.idle_processors()]
-        while ready and idle:
-            best_kid: int | None = None
+        while groups and idle:
+            cols = [index[name] for name in idle]
+            best: tuple[float, ...] = ()
+            best_head = -1
             best_sd = -1.0
-            for kid in ready:
-                sd = _population_stddev([ctx.exec_time_on(kid, n) for n in idle])
-                if sd > best_sd:
-                    best_kid, best_sd = kid, sd
-            assert best_kid is not None
-            name = min(idle, key=lambda n: (ctx.exec_time_on(best_kid, n), idle.index(n)))
-            ready.remove(best_kid)
-            idle.remove(name)
-            out.append(Assignment(kernel_id=best_kid, processor=name))
+            for times, positions in groups.items():
+                sd = _population_stddev([times[col] for col in cols])
+                head = positions[0]
+                if sd > best_sd or (sd == best_sd and head < best_head):
+                    best, best_head, best_sd = times, head, sd
+            j = min(range(len(cols)), key=lambda j: (best[cols[j]], j))
+            positions = groups[best]
+            del positions[0]
+            if not positions:
+                del groups[best]
+            out.append(Assignment(kernel_id=ready[best_head], processor=idle.pop(j)))
         return out

@@ -293,6 +293,68 @@ class TestFaultDynamics:
         assert "decline: deadlock at t=0.0 — 60 kernels unfinished" in proc.stdout
         assert "only processor faults pending" in proc.stdout
 
+    def test_a_kernel_outlasting_every_fault_free_window_ends_the_run(self):
+        # AG keeps requeueing a long kernel on cpu0 (its metric ignores
+        # execution time), and with faults every third of APT's makespan
+        # the kernel never finishes between two of them: without a cap on
+        # aborts per kernel the run restarts it for ever.  A subprocess
+        # makes a regression time out instead of hanging the suite.
+        code = textwrap.dedent(
+            """
+            import numpy as np
+            from repro.core.dynamics import DynamicsSpec
+            from repro.core.engine import SchedulingError
+            from repro.core.simulator import Simulator
+            from repro.core.system import CPU_GPU_FPGA, Processor, SystemConfig
+            from repro.core.topology import bus_topology
+            from repro.data.paper_tables import paper_lookup_table
+            from repro.graphs.generators import make_pipeline_dfg
+            from repro.policies.ag import AG
+            from repro.policies.apt import APT
+
+            lookup = paper_lookup_table()
+            procs = [Processor(p.name, p.ptype) for p in CPU_GPU_FPGA()]
+            system = SystemConfig(
+                procs,
+                topology=bus_topology(
+                    [p.name for p in procs], bus_gbps=1.0, latency_ms=0.05,
+                    contention=True,
+                ),
+            )
+            dfg = make_pipeline_dfg(
+                24, rng=np.random.default_rng(9), stage_width=3, name="pipe24"
+            )
+            mttf = Simulator(system, lookup).run(dfg, APT()).makespan / 3.0
+            fault = DynamicsSpec.of("fault", mttf_ms=mttf, mttr_ms=mttf / 10.0)
+            try:
+                Simulator(system, lookup, dynamics=[fault]).run(dfg, AG())
+            except SchedulingError as exc:
+                print(exc)
+            """
+        )
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=root,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "ag: faults aborted kernel 17 100000 times (the last on cpu0" in proc.stdout
+
+    def test_abort_counts_drop_when_a_kernel_completes(
+        self, system, lookup, dfg
+    ):
+        # a completed kernel is never aborted again: its count goes
+        base = self.baseline(system, lookup, dfg)
+        layer = fault_spec_for(base.makespan).build()
+        run = Simulator(system, lookup, dynamics=[layer]).run(dfg, get_policy("apt"))
+        assert run.dynamics_stats["fault"]["n_aborted"] > 0
+        assert layer._aborts == {}
+
 
 # ----------------------------------------------------------------------
 # preemption

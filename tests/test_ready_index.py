@@ -142,16 +142,16 @@ class TestWalkSkipsUnplaceableKernels:
     def test_saturated_stream_prices_each_kernel_at_most_twice(self, monkeypatch):
         """On a saturated stream the ready set grows into the hundreds,
         but APT only prices kernels it can place: a full FCFS scan makes
-        ~256 p_min lookups per kernel here, the index at most 2."""
+        ~256 cost-row reads per kernel here, the index at most 2."""
         calls = 0
-        lookup_best = SchedulingContext.best_processor_type
+        read_row = SchedulingContext.cost_row
 
         def counted(ctx: SchedulingContext, kernel_id: int):
             nonlocal calls
             calls += 1
-            return lookup_best(ctx, kernel_id)
+            return read_row(ctx, kernel_id)
 
-        monkeypatch.setattr(SchedulingContext, "best_processor_type", counted)
+        monkeypatch.setattr(SchedulingContext, "cost_row", counted)
         sim = Simulator(scale_system(), paper_lookup_table())
         result = sim.run_stream(
             streaming_scale_source(1200, seed=0, mean_interarrival_ms=300.0),
